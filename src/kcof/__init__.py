@@ -7,9 +7,12 @@ belief.  The package verifies pure and finite-support mixed Nash equilibria
 exactly, solves the k=1 case completely via a segment DAG, brackets the
 optimal social cost with closed-form lower bounds and a heuristic upper
 bound, and ships a catalog of benchmark instances with known values.
+
+Solvers that run many cost evaluations use the pure-Python integer kernels of
+:mod:`kcof._accel` (``kernel_backend`` is always ``"python"``).  The
+neighbour tie rule is defined once, by :func:`kcof._accel.ranked`.
 """
 
-from ._accel import BACKEND as kernel_backend
 from .bounds import (
     PoaBracket,
     SmallChainConditions,
@@ -67,3 +70,4 @@ from .segments import (
 )
 
 __version__ = "0.1.0"
+kernel_backend = "python"

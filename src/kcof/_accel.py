@@ -1,53 +1,91 @@
-"""Kernel selection: compiled int64 extension when safe, pure Python otherwise.
+"""Integer kernels, and the one place the neighbour tie rule is defined.
 
-The compiled kernels require every scaled value to stay far enough from the
-int64 boundary that distances (2x) and social-cost sums (n terms) cannot
-overflow.  Values beyond the guard are routed to the pure-Python kernels,
-which accept arbitrary-precision ints.
+The kernels take plain ints at one shared scale (beliefs and opinions
+multiplied by a common denominator); Python ints never overflow, so any scale
+is exact.  Best-response midpoints are tested without division via
+2*z_i == lo + hi.
+
+:func:`ranked` orders a player's candidate neighbours.  The kernels here, the
+``Fraction`` API in :mod:`kcof.game` and the mixed checks in
+:mod:`kcof.mixed` all select neighbours through it.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from . import _kernels_py
 
-try:
-    from . import _kernels as _compiled
-except ImportError:  # extension not built
-    _compiled = None
+def ranked(z: Sequence, i: int, si, ref) -> list[tuple]:
+    """Every player j != i in neighbour-rule order, as (|z_j - s_i|, |z_j - ref|, j).
 
-BACKEND = "compiled" if _compiled is not None else "python"
-
-
-def _guard(n: int) -> int:
-    return (1 << 62) // (4 * max(n, 1))
+    Distance to the belief s_i comes first; ties break toward ``ref`` (the
+    player's own opinion, or the mean of the player's mixed support), then
+    toward the smallest index.  The values may be ints or Fractions.
+    """
+    return sorted((abs(v - si), abs(v - ref), j) for j, v in enumerate(z) if j != i)
 
 
-def _fits(n: int, *groups: Sequence[int]) -> bool:
-    if _compiled is None:
-        return False
-    limit = _guard(n)
-    return all(-limit <= v <= limit for vs in groups for v in vs)
+def _chosen(s: Sequence[int], z: Sequence[int], k: int, i: int) -> list[int]:
+    return [j for _, _, j in ranked(z, i, s[i], z[i])[:k]]
 
 
 def player_cost(s: Sequence[int], z: Sequence[int], k: int, i: int) -> int:
-    mod = _compiled if _fits(len(s), s, z) else _kernels_py
-    return mod.player_cost(s, z, k, i)
+    """Max distance from z_i to the player's belief and chosen neighbors."""
+    zi = z[i]
+    cost = abs(zi - s[i])
+    for j in _chosen(s, z, k, i):
+        d = abs(z[j] - zi)
+        if d > cost:
+            cost = d
+    return cost
 
 
 def social_cost(s: Sequence[int], z: Sequence[int], k: int) -> int:
-    mod = _compiled if _fits(len(s), s, z) else _kernels_py
-    return mod.social_cost(s, z, k)
+    return sum(player_cost(s, z, k, i) for i in range(len(s)))
 
 
 def first_unstable(s: Sequence[int], z: Sequence[int], k: int) -> int:
-    mod = _compiled if _fits(len(s), s, z) else _kernels_py
-    return mod.first_unstable(s, z, k)
+    """Index of the first player whose opinion is not her exact best response.
+
+    Returns -1 when the vector is a pure Nash equilibrium.
+    """
+    for i in range(len(s)):
+        si = s[i]
+        lo = hi = si
+        for j in _chosen(s, z, k, i):
+            v = z[j]
+            if v < lo:
+                lo = v
+            elif v > hi:
+                hi = v
+        if 2 * z[i] != lo + hi:
+            return i
+    return -1
 
 
 def coordinate_best(
-    s: Sequence[int], z: Sequence[int], k: int, i: int, candidates: Sequence[int]
+    s: Sequence[int],
+    z: Sequence[int],
+    k: int,
+    i: int,
+    candidates: Sequence[int],
 ) -> tuple[int, int]:
-    mod = _compiled if _fits(len(s), s, z, candidates) else _kernels_py
-    return mod.coordinate_best(s, z, k, i, candidates)
+    """Best (social cost, opinion) over candidate opinions for player i.
+
+    Evaluates the full social cost for each candidate (moving one opinion can
+    change every neighborhood); ties prefer the smallest candidate value.
+    The sum is taken here rather than through :func:`social_cost`, so that
+    the hooks of ``bench/tracing.py`` on ``social_cost`` see only calls from
+    outside the kernel.
+    """
+    work = list(z)
+    players = range(len(s))
+    best_cost = -1
+    best_y = 0
+    for y in candidates:
+        work[i] = y
+        c = sum(player_cost(s, work, k, j) for j in players)
+        if best_cost < 0 or c < best_cost or (c == best_cost and y < best_y):
+            best_cost = c
+            best_y = y
+    return best_cost, best_y

@@ -191,12 +191,20 @@ def _pos_chain(lam: Fraction) -> CatalogEntry:
         (64 + 3 * lam) / 3,
     )
     near = (3 - lam, 6 - 2 * lam, 7 - 6 * lam, 16 + 6 * lam, 17 + 2 * lam, 20 + lam)
+    # players 1 and 4 pay their belief distance up to lam = 2/3 and their
+    # neighbor's distance above it; from lam = 4/5 on they switch neighbors
+    if lam <= Fraction(2, 3):
+        near_cost = 10 + 12 * lam
+    elif lam <= Fraction(4, 5):
+        near_cost = 6 + 18 * lam
+    else:
+        near_cost = 14 + 8 * lam
     return CatalogEntry(
         name="pos_chain",
         instance=inst,
         references=(
             ReferenceVector("equilibrium", Fraction(34, 3) - 4 * lam, PNE, opinions=z),
-            ReferenceVector("near_opt", 10 + 12 * lam, NEAR_OPT, opinions=near),
+            ReferenceVector("near_opt", near_cost, NEAR_OPT, opinions=near),
         ),
         notes="six-player chain whose unique equilibrium is costlier than the best known vector",
     )

@@ -9,9 +9,10 @@ opinions, which makes pure-equilibrium verification an exact midpoint test.
 
 All values are ``fractions.Fraction`` and every comparison is exact.  Distance
 ties when ranking neighbor candidates break toward the player's own opinion
-first and then toward the smallest index; the ``tie_seen`` diagnostic on
-verdicts reports when such a boundary tie occurred, i.e. when the verdict
-could depend on the tie rule at all.
+first and then toward the smallest index; that rule is defined once, in
+:func:`kcof._accel.ranked`, which this module and the integer kernels share.
+The ``tie_seen`` diagnostic on verdicts reports when such a boundary tie
+occurred, i.e. when the verdict could depend on the tie rule at all.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
+from ._accel import ranked
 from .rationals import to_fraction
 
 __all__ = [
@@ -118,19 +120,12 @@ def _check_index(inst: GameInstance, i: int) -> None:
         raise IndexError(f"player index {i} out of range for n={inst.n}")
 
 
-def _ranked(inst: GameInstance, z: Sequence[Fraction], i: int, ref: Fraction):
-    si = inst.beliefs[i]
-    return sorted(
-        (abs(z[j] - si), abs(z[j] - ref), j) for j in range(inst.n) if j != i
-    )
-
-
 def _chosen(inst: GameInstance, z: Sequence[Fraction], i: int) -> tuple[list[int], bool]:
     """Neighbor indices for player i plus a boundary-tie diagnostic."""
-    ranked = _ranked(inst, z, i, z[i])
+    order = ranked(z, i, inst.beliefs[i], z[i])
     k = inst.k
-    tie = len(ranked) > k and ranked[k - 1][0] == ranked[k][0]
-    return [j for _, _, j in ranked[:k]], tie
+    tie = len(order) > k and order[k - 1][0] == order[k][0]
+    return [j for _, _, j in order[:k]], tie
 
 
 def neighborhood(inst: GameInstance, z: Sequence, i: int) -> Neighborhood:
@@ -355,13 +350,10 @@ def best_response_dynamics(
         changed = False
         for i in order:
             si, zi = s[i], z[i]
-            ranked = sorted(
-                (abs(z[j] - si), abs(z[j] - zi), j) for j in range(n) if j != i
-            )
             # interval ends and their owners; ties keep the belief (-1)
             lo = hi = si
             lo_at = hi_at = -1
-            for _, _, j in ranked[:k]:
+            for _, _, j in ranked(z, i, si, zi)[:k]:
                 v = z[j]
                 if v < lo:
                     lo, lo_at = v, j

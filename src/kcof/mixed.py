@@ -22,6 +22,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
+from ._accel import ranked
 from .game import GameInstance, as_opinions, is_pure_nash, player_cost
 from .rationals import to_fraction
 
@@ -114,19 +115,16 @@ def _deviation_intervals(
     the player's own strategy (for a one-point support that is exactly the
     deterministic tie rule), then toward the smallest index.
     """
-    others = [(j, supports[j]) for j in range(inst.n) if j != i]
     s_i = inst.beliefs[i]
     ref = _mean_opinion(supports[i])
     out = []
-    for combo in product(*[sup for _, sup in others]):
+    # the deviator's own slot is a placeholder that ranked() skips
+    for combo in product(*supports[:i], ((ref, 1),), *supports[i + 1 :]):
         prob = Fraction(1)
         for _, pr in combo:
             prob *= pr
-        ranked = sorted(
-            (abs(op - s_i), abs(op - ref), j, op)
-            for (j, _), (op, _) in zip(others, combo)
-        )
-        values = [op for _, _, _, op in ranked[: inst.k]]
+        z = [op for op, _ in combo]
+        values = [z[j] for _, _, j in ranked(z, i, s_i, ref)[: inst.k]]
         out.append((prob, min(s_i, *values), max(s_i, *values)))
     return out
 

@@ -1,4 +1,4 @@
-"""Exact rational parsing, formatting, and integer scaling.
+"""Exact rational parsing and formatting.
 
 Every quantity in this package is a ``fractions.Fraction``.  Floats are
 rejected at all boundaries: the solvers decide strict inequalities and exact
@@ -8,10 +8,6 @@ ties, and a single rounded comparison would corrupt verdicts.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Sequence
-
-Rational = Fraction
 
 # Unicode minus/dash variants occasionally found in hand-written input files.
 _DASHES = {"−": "-", "–": "-", "—": "-"}
@@ -48,18 +44,3 @@ def format_rational(value: Fraction) -> str:
     """Render a Fraction as "3" or "-21/2" (inverse of parse_rational)."""
     return str(value)
 
-
-def common_denominator(values: Iterable[Fraction]) -> int:
-    denoms = [v.denominator for v in values]
-    return lcm(*denoms) if denoms else 1
-
-
-def scale_to_ints(values: Sequence[Fraction], denominator: int) -> list[int]:
-    """Return values * denominator as exact ints; denominator must clear all."""
-    out = []
-    for v in values:
-        scaled = v * denominator
-        if scaled.denominator != 1:
-            raise ValueError(f"{v} does not scale to an integer by {denominator}")
-        out.append(scaled.numerator)
-    return out

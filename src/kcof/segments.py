@@ -74,38 +74,19 @@ def _segment_opinions(s: Sequence[int], a: int, b: int, c: int) -> list[int]:
     return z
 
 
-def _consistency(
-    s: Sequence[int], z: Sequence[int], a: int, b: int, c: int
-) -> tuple[bool, bool]:
-    """(pairwise, adjacent-only) consistency of opinions with the pointers.
+def _consistency(s: Sequence[int], z: Sequence[int], a: int, b: int, c: int) -> bool:
+    """Pairwise consistency of opinions with the pointers.
 
-    Pairwise: each player's designated neighbor is weakly closest to her
-    belief among all segment members.  Adjacent-only checks just the two
-    opinions flanking each interior player; the two can disagree when an
-    opinion overshoots a later belief, hence both are reported.
+    Each player's designated neighbor must be weakly closest to her belief
+    among all segment members.
     """
-    pairwise = True
     for p in range(a, c + 1):
         designated = p + 1 if p <= b else p - 1
         dd = abs(z[designated - a] - s[p])
         for q in range(a, c + 1):
             if q != p and abs(z[q - a] - s[p]) < dd:
-                pairwise = False
-                break
-        if not pairwise:
-            break
-
-    adjacent = True
-    for p in range(a + 1, b + 1):
-        if abs(z[p - 1 - a] - s[p]) < abs(z[p + 1 - a] - s[p]):
-            adjacent = False
-            break
-    if adjacent:
-        for p in range(b + 1, c):
-            if abs(z[p + 1 - a] - s[p]) < abs(z[p - 1 - a] - s[p]):
-                adjacent = False
-                break
-    return pairwise, adjacent
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -114,8 +95,6 @@ class Segment:
 
     ``legit`` requires the boundary condition (a != 1 and c != n-2, so the
     block can take part in a full decomposition) plus pairwise consistency.
-    ``consistency_discrepancy`` flags segments where the adjacent-only test
-    and the pairwise test disagree.
     """
 
     a: int
@@ -125,11 +104,6 @@ class Segment:
     weight: Fraction
     legit: bool
     pairwise_consistent: bool
-    adjacent_consistent: bool
-
-    @property
-    def consistency_discrepancy(self) -> bool:
-        return self.pairwise_consistent != self.adjacent_consistent
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -138,12 +112,12 @@ class Segment:
 
 def _build_segment_scaled(
     s: Sequence[int], n: int, a: int, b: int, c: int
-) -> tuple[list[int], int, bool, bool, bool]:
+) -> tuple[list[int], int, bool, bool]:
     z = _segment_opinions(s, a, b, c)
     weight = sum(abs(z[p - a] - s[p]) for p in range(a, c + 1))
-    pairwise, adjacent = _consistency(s, z, a, b, c)
+    pairwise = _consistency(s, z, a, b, c)
     boundary_ok = a != 1 and c != n - 2
-    return z, weight, boundary_ok and pairwise, pairwise, adjacent
+    return z, weight, boundary_ok and pairwise, pairwise
 
 
 def build_segment(inst: GameInstance, a: int, b: int, c: int) -> Segment:
@@ -152,7 +126,7 @@ def build_segment(inst: GameInstance, a: int, b: int, c: int) -> Segment:
     if not 0 <= a <= b < c < inst.n:
         raise ValueError(f"need 0 <= a <= b < c < n, got ({a}, {b}, {c}) with n={inst.n}")
     s_int, factor = _scale(inst)
-    z, weight, legit, pairwise, adjacent = _build_segment_scaled(s_int, inst.n, a, b, c)
+    z, weight, legit, pairwise = _build_segment_scaled(s_int, inst.n, a, b, c)
     return Segment(
         a=a,
         b=b,
@@ -161,7 +135,6 @@ def build_segment(inst: GameInstance, a: int, b: int, c: int) -> Segment:
         weight=Fraction(weight, factor),
         legit=legit,
         pairwise_consistent=pairwise,
-        adjacent_consistent=adjacent,
     )
 
 
@@ -197,7 +170,7 @@ def build_segment_graph(inst: GameInstance) -> SegmentGraph:
             for c in range(b + 1, n):
                 if c == n - 2:
                     continue
-                z, w, legit, pairwise, adjacent = _build_segment_scaled(s_int, n, a, b, c)
+                z, w, legit, pairwise = _build_segment_scaled(s_int, n, a, b, c)
                 if not legit:
                     continue
                 triples.append((a, b, c))
@@ -212,7 +185,6 @@ def build_segment_graph(inst: GameInstance) -> SegmentGraph:
                         weight=Fraction(w, factor),
                         legit=True,
                         pairwise_consistent=pairwise,
-                        adjacent_consistent=adjacent,
                     )
                 )
 

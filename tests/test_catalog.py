@@ -71,6 +71,11 @@ class TestVerification:
         catalog(1, lam=F(1, 100))
         catalog(3, lam=F(1, 100))
 
+    @pytest.mark.parametrize("lam", [F(3, 4), F(4, 5), F(99, 100)])
+    def test_large_lambda_verifies(self, lam):
+        # pos_chain's near_opt cost changes form at lam = 2/3 and 4/5
+        catalog(1, lam=lam, verify=True)
+
     def test_expected_values_parameterized(self):
         lam = F(1, 5)
         entry = catalog_entry("poa_blocks", k=4, lam=lam)

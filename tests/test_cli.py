@@ -188,6 +188,11 @@ class TestCatalogCommand:
         table = capsys.readouterr().out
         assert "MISMATCH" not in table
 
+    @pytest.mark.parametrize("lam", ["3/4", "4/5", "99/100"])
+    def test_large_lambda_table_matches(self, lam, capsys):
+        assert main(["catalog", "--k", "1", "--lambda", lam]) == 0
+        assert "MISMATCH" not in capsys.readouterr().out
+
     def test_bad_lambda_exits_two(self):
         assert main(["catalog", "--k", "1", "--lambda", "2"]) == 2
 

@@ -1,4 +1,4 @@
-"""Kernel parity: compiled extension vs pure Python vs the Fraction reference."""
+"""Integer kernels against the Fraction reference, and the neighbour tie rule."""
 
 from __future__ import annotations
 
@@ -9,15 +9,7 @@ from math import lcm
 import pytest
 
 import kcof._accel as accel
-import kcof._kernels_py as kpy
-from kcof import GameInstance, is_pure_nash, player_cost, social_cost
-
-try:
-    import kcof._kernels as kc
-except ImportError:
-    kc = None
-
-needs_compiled = pytest.mark.skipif(kc is None, reason="compiled extension not built")
+from kcof import GameInstance, is_pure_nash, neighborhood, player_cost, social_cost
 
 
 def random_case(rng: random.Random):
@@ -29,36 +21,39 @@ def random_case(rng: random.Random):
     return s, z, k
 
 
-@needs_compiled
-class TestCompiledParity:
-    def test_matches_pure_python(self, rng):
-        for _ in range(300):
-            s, z, k = random_case(rng)
-            assert kc.social_cost(s, z, k) == kpy.social_cost(s, z, k)
-            assert kc.first_unstable(s, z, k) == kpy.first_unstable(s, z, k)
-            for i in range(len(s)):
-                assert kc.player_cost(s, z, k, i) == kpy.player_cost(s, z, k, i)
+def assert_matches_reference(s, z, k):
+    inst = GameInstance(k=k, beliefs=tuple(F(v) for v in s))
+    zf = tuple(F(v) for v in z)
+    assert accel.social_cost(s, z, k) == social_cost(inst, zf)
+    for i in range(len(s)):
+        assert accel.player_cost(s, z, k, i) == player_cost(inst, zf, i)
+    assert (accel.first_unstable(s, z, k) == -1) == is_pure_nash(inst, zf).is_pne
 
-    def test_coordinate_best_parity(self, rng):
-        for _ in range(50):
-            s, z, k = random_case(rng)
-            cands = sorted({rng.randint(-3, 15) for _ in range(8)})
-            i = rng.randrange(len(s))
-            assert kc.coordinate_best(s, z, k, i, cands) == kpy.coordinate_best(
-                s, z, k, i, cands
-            )
+
+BIG = 1 << 80
 
 
 class TestReferenceParity:
     def test_matches_fraction_reference(self, rng):
         for _ in range(150):
-            s, z, k = random_case(rng)
-            inst = GameInstance(k=k, beliefs=tuple(F(v) for v in s))
-            zf = tuple(F(v) for v in z)
-            assert accel.social_cost(s, z, k) == social_cost(inst, zf)
-            for i in range(len(s)):
-                assert accel.player_cost(s, z, k, i) == player_cost(inst, zf, i)
-            assert (accel.first_unstable(s, z, k) == -1) == is_pure_nash(inst, zf).is_pne
+            assert_matches_reference(*random_case(rng))
+
+    def test_values_beyond_int64(self):
+        # values near 2**80 stay exact: no fixed-width arithmetic anywhere
+        s = [0, BIG, 2 * BIG]
+        z = [BIG // 2, BIG, 3 * BIG // 2]
+        assert_matches_reference(s, z, 1)
+        assert accel.social_cost(s, z, 1) == 3 * BIG // 2
+        assert accel.first_unstable(s, z, 1) == 1
+
+    def test_boundary_tie(self):
+        # players 1 and 2 each see two neighbours at the same distance; the
+        # tie toward their own opinion makes this vector an equilibrium
+        s = [0, 3, 4, 7]
+        z = [1, 2, 5, 6]
+        assert_matches_reference(s, z, 1)
+        assert accel.first_unstable(s, z, 1) == -1
+        assert accel.social_cost(s, z, 1) == 4
 
     def test_scaled_rationals_round_trip(self, rng):
         for _ in range(50):
@@ -75,17 +70,29 @@ class TestReferenceParity:
             assert F(accel.social_cost(s_int, z_int, k), denom) == social_cost(inst, z)
 
 
-class TestBigIntFallback:
-    def test_dispatch_beyond_int64(self):
-        # values near 2**80: the accel layer must route to the Python kernels
-        base = 1 << 80
-        s = [0, base, 2 * base]
-        z = [base // 2, base, 3 * base // 2]
-        assert accel.social_cost(s, z, 1) == kpy.social_cost(s, z, 1)
-        assert accel.first_unstable(s, z, 1) == kpy.first_unstable(s, z, 1)
+def assert_tie_rule(s, z, i, chosen):
+    """Every chosen j beats every unchosen l on (|z_j-s_i|, |z_j-z_i|, j)."""
 
-    def test_small_values_still_exact(self):
-        s = [0, 3, 4, 7]
-        z = [1, 2, 5, 6]
-        # exact boundary ties: both tie rules must agree between backends
-        assert accel.first_unstable(s, z, 1) == kpy.first_unstable(s, z, 1)
+    def key(j):
+        return (abs(z[j] - s[i]), abs(z[j] - z[i]), j)
+
+    assert i not in chosen
+    unchosen = [l for l in range(len(s)) if l != i and l not in chosen]
+    for j in chosen:
+        for l in unchosen:
+            assert key(j) < key(l), (s, z, i, sorted(chosen))
+
+
+class TestTieRule:
+    @pytest.mark.parametrize("select", ["neighborhood", "kernel"])
+    def test_chosen_neighbours_follow_the_rule(self, rng, select):
+        for _ in range(200):
+            s, z, k = random_case(rng)
+            inst = GameInstance(k=k, beliefs=tuple(F(v) for v in s))
+            for i in range(len(s)):
+                if select == "neighborhood":
+                    chosen = set(neighborhood(inst, [F(v) for v in z], i).members)
+                else:
+                    chosen = set(accel._chosen(s, z, k, i))
+                assert len(chosen) == k
+                assert_tie_rule(s, z, i, chosen)
