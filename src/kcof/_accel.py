@@ -72,19 +72,60 @@ def coordinate_best(
 ) -> tuple[int, int]:
     """Best (social cost, opinion) over candidate opinions for player i.
 
-    Evaluates the full social cost for each candidate (moving one opinion can
-    change every neighborhood); ties prefer the smallest candidate value.
-    The sum is taken here rather than through :func:`social_cost`, so that
-    the hooks of ``bench/tracing.py`` on ``social_cost`` see only calls from
-    outside the kernel.
+    Only z_i moves, so the social cost is recomputed incrementally:
+
+    * Every other player j keeps its order of the players other than i and
+      j.  The set-up ranks them once with :func:`ranked` and keeps the k-th
+      key, j's cost when i is chosen (belief and the first k - 1, without
+      the distance to z_i) and j's cost when i is not (belief and the first
+      k).  For a candidate y, j chooses i exactly when
+      (|y - s_j|, |y - z_j|, i) is below the k-th key; when k = n - 1 there
+      is no k-th key and i is always chosen.
+    * Player i's own order by distance to s_i does not depend on y.
+      Neighbours nearer than the k-th distance d_k are always chosen, and
+      only their lowest and highest opinion matter.  The rest of the k are
+      tied at d_k, so they sit at s_i - d_k or s_i + d_k, and the tie
+      toward y decides whether the farther of the two values is reached.
+
+    Set-up is O(n^2 log n), one ranking per player, and each candidate then
+    costs O(n).  Ties prefer the smallest candidate value.
     """
-    work = list(z)
-    players = range(len(s))
+    n = len(s)
+    rows = []
+    for j in range(n):
+        if j == i:
+            continue
+        sj, zj = s[j], z[j]
+        keys = [key for key in ranked(z, j, sj, zj) if key[2] != i]
+        c_in = max([abs(zj - sj)] + [key[1] for key in keys[: k - 1]])
+        kth = keys[k - 1] if k < n - 1 else None
+        rows.append((sj, zj, kth, c_in, max(c_in, kth[1]) if kth else c_in))
+
+    si = s[i]
+    others = [v for j, v in enumerate(z) if j != i]
+    d_k = sorted(abs(v - si) for v in others)[k - 1]
+    inner = [v for v in others if abs(v - si) < d_k]
+    lo, hi = min(inner, default=si), max(inner, default=si)
+    tied = k - len(inner)  # how many of the k sit at distance d_k
+    a, b = si - d_k, si + d_k
+    at_a, at_b = others.count(a), others.count(b)
+
     best_cost = -1
     best_y = 0
     for y in candidates:
-        work[i] = y
-        c = sum(player_cost(s, work, k, j) for j in players)
+        # the farthest tied neighbour: the far side is reached only when the
+        # near side holds fewer than `tied` players (y == s_i: both at d_k)
+        if y < si:
+            t = b - y if at_a < tied else abs(a - y)
+        else:
+            t = y - a if at_b < tied else abs(b - y)
+        c = max(abs(y - si), t, y - lo, hi - y)
+        for sj, zj, kth, c_in, c_out in rows:
+            if kth is None or (abs(y - sj), abs(y - zj), i) < kth:
+                d = abs(y - zj)
+                c += d if d > c_in else c_in
+            else:
+                c += c_out
         if best_cost < 0 or c < best_cost or (c == best_cost and y < best_y):
             best_cost = c
             best_y = y

@@ -9,7 +9,10 @@ and near-optimal vectors for the catalog instances sit - optionally refined
 by inserting midpoints between adjacent candidates.
 
 The cost surface is piecewise linear with jumps where neighborhoods change,
-so each coordinate move re-evaluates the full social cost exactly.
+so each coordinate move evaluates the social cost of every candidate exactly,
+in integers: :func:`kcof._accel.coordinate_best` updates it incrementally, in
+O(n) per candidate.  The best vector's cost is re-checked with the exact
+``Fraction`` reference before it is returned.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ def _descend(
             if best_cost < cost:
                 z[i] = best_y
                 cost = best_cost
-        assert cost <= sweep_start  # descent must never go uphill
         if cost == sweep_start:
             break
     return cost, z
@@ -113,14 +115,10 @@ def optimize_social_cost(
     for _ in range(cfg.restarts):
         start_vectors.append([rng.choice(cand_int) for _ in range(inst.n)])
 
-    best: Optional[tuple[int, tuple[int, ...]]] = None
-    for z0 in start_vectors:
-        cost, z = _descend(s_int, list(z0), inst.k, cand_int, cfg.max_sweeps)
-        key = (cost, tuple(z))
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    cost_int, z_int = best
+    descents = (
+        _descend(s_int, list(z0), inst.k, cand_int, cfg.max_sweeps) for z0 in start_vectors
+    )
+    cost_int, z_int = min((cost, tuple(z)) for cost, z in descents)
     opinions = tuple(Fraction(v, denom) for v in z_int)
     cost = Fraction(cost_int, denom)
     check = social_cost(inst, opinions)

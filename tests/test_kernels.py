@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import lcm
 
@@ -96,3 +97,81 @@ class TestTieRule:
                     chosen = set(accel._chosen(s, z, k, i))
                 assert len(chosen) == k
                 assert_tie_rule(s, z, i, chosen)
+
+
+def brute_force_best(s, z, k, i, candidates):
+    """Every candidate in place, the full social cost summed; smallest y on ties."""
+    work = list(z)
+    best = None
+    for y in candidates:
+        work[i] = y
+        c = sum(accel.player_cost(s, work, k, j) for j in range(len(s)))
+        if best is None or (c, y) < best:
+            best = (c, y)
+    return best
+
+
+def many_tie_case(rng: random.Random):
+    """(s, z, k, i, candidates) on values 0..10, shaped so that ties abound."""
+    n = rng.randint(2, 10)
+    k = n - 1 if rng.random() < 0.25 else rng.randint(1, n - 1)
+    s = sorted(rng.randint(0, 10) for _ in range(n))
+    z = [rng.randint(0, 10) for _ in range(n)]
+    i = rng.randrange(n)
+    shape = rng.randrange(3)
+    if shape == 1:  # neighbours sitting at s_i, so that d_k is often 0
+        for j in rng.sample(range(n), rng.randint(1, n)):
+            z[j] = s[i]
+    elif shape == 2:  # neighbours on both sides of s_i at one distance
+        d = rng.randint(1, 3)
+        for j in range(n):
+            if rng.random() < 0.7:
+                z[j] = s[i] + rng.choice((-d, d))
+    cands = rng.sample(z, rng.randint(1, n)) + [rng.randint(-2, 12) for _ in range(3)]
+    return s, z, k, i, cands
+
+
+def case_features(s, z, k, i, cands):
+    others = [v for j, v in enumerate(z) if j != i]
+    d_k = sorted(abs(v - s[i]) for v in others)[k - 1]
+    return {
+        "k = n-1": k == len(s) - 1,
+        "d_k = 0": d_k == 0,
+        "ties at both s_i-d_k and s_i+d_k": d_k > 0
+        and s[i] - d_k in others
+        and s[i] + d_k in others,
+        "candidate equal to another opinion": any(y in others for y in cands),
+    }
+
+
+class TestCoordinateBest:
+    """The incremental kernel against the definition it replaces."""
+
+    def test_matches_brute_force_on_many_ties(self):
+        rng = random.Random(0xC0B)
+        seen = Counter()
+        for _ in range(2500):
+            s, z, k, i, cands = many_tie_case(rng)
+            got = accel.coordinate_best(s, z, k, i, cands)
+            assert got == brute_force_best(s, z, k, i, cands), (s, z, k, i, cands)
+            seen.update(name for name, hit in case_features(s, z, k, i, cands).items() if hit)
+            # the integer cost is the exact social cost at scale 1/7
+            cost, y = got
+            inst = GameInstance(k=k, beliefs=tuple(F(v, 7) for v in s))
+            moved = [F(v, 7) for v in z]
+            moved[i] = F(y, 7)
+            assert social_cost(inst, moved) == F(cost, 7)
+        assert len(seen) == 4 and min(seen.values()) >= 200, seen
+
+    def test_values_near_2_80(self):
+        rng = random.Random(0xB16)
+        for _ in range(20):
+            s, z, k, i, cands = many_tie_case(rng)
+            s, z, cands = (
+                [BIG * v + 1 for v in s],
+                [BIG * v + 1 for v in z],
+                [BIG * v + 1 for v in cands],
+            )
+            assert accel.coordinate_best(s, z, k, i, cands) == brute_force_best(
+                s, z, k, i, cands
+            )

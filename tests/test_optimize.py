@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from kcof import GameInstance, opt_lower_bound_k, social_cost
+from kcof import GameInstance, _accel, opt_lower_bound_k, social_cost
 from kcof.catalog import catalog_entry
 from kcof.optimize import OptimizerConfig, candidate_opinions, optimize_social_cost
 
@@ -97,3 +97,15 @@ class TestInvariants:
         inst = GameInstance(k=2, beliefs=(0, 1, 1, 2))
         cfg = OptimizerConfig(seed=123)
         assert optimize_social_cost(inst, cfg) == optimize_social_cost(inst, cfg)
+
+    def test_exact_recheck_catches_a_kernel_that_under_reports(self, monkeypatch):
+        real = _accel.coordinate_best
+
+        def under_report(s, z, k, i, candidates):
+            cost, y = real(s, z, k, i, candidates)
+            return cost - 1, y
+
+        monkeypatch.setattr(_accel, "coordinate_best", under_report)
+        inst = GameInstance(k=1, beliefs=(0, 9, 12, 21))
+        with pytest.raises(AssertionError, match="bookkeeping mismatch"):
+            optimize_social_cost(inst, OptimizerConfig(restarts=0, max_sweeps=3))
