@@ -2,7 +2,9 @@
 
 Subcommands: check, solve, bounds, optimize, mixed-check, catalog.
 Exit codes: 0 success (for check/mixed-check: the vector is an equilibrium),
-1 checked vector is not an equilibrium, 2 input or usage error.
+1 checked vector is not an equilibrium, 2 input or usage error, or standard
+output closed before the report was written (``kcof ... | head``; the rest of
+the report is dropped quietly, without a traceback).
 All reports are also available as JSON via --json; rationals are always
 rendered as exact strings.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -166,8 +169,8 @@ def _cmd_solve(args) -> int:
     inst = doc.instance
     if inst.k == 1:
         graph = segments.build_segment_graph(inst)
-        best = segments.best_pne(inst)
-        worst = segments.worst_pne(inst)
+        best = segments.best_pne(inst, graph=graph)
+        worst = segments.worst_pne(inst, graph=graph)
         report: dict = {
             "k": 1,
             "legit_segments": [
@@ -187,7 +190,7 @@ def _cmd_solve(args) -> int:
             lines.append(f"best PNE:  SC = {_R(bc)}  z = ({', '.join(_R(v) for v in bz)})")
             lines.append(f"worst PNE: SC = {_R(wc)}  z = ({', '.join(_R(v) for v in wz)})")
         if args.enumerate:
-            found = segments.enumerate_pne(inst, args.enumerate)
+            found = segments.enumerate_pne(inst, args.enumerate, graph=graph)
             report["enumerated"] = [
                 {"opinions": [_R(v) for v in z], "social_cost": _R(c)} for z, c in found
             ]
@@ -424,9 +427,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
+        return status
     except ValueError as exc:
         return _fail(str(exc))
+    except BrokenPipeError:
+        # the reader went away; send what is still buffered to devnull so the
+        # interpreter's final flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,11 +4,15 @@ In a 1-neighbor game every pure Nash equilibrium induces, for each player, a
 pointer to the previous or the next player, and the pointer pattern splits the
 line into blocks of consecutive players: everyone up to a pivot points right,
 everyone after it points left.  Inside such a block ("segment") the midpoint
-property forces unique opinions in closed form.  The solver enumerates all
-candidate segments, keeps the self-consistent ("legit") ones, wires
-consecutive segments into a DAG, and answers existence / best / worst /
-enumeration queries as source-sink path computations; a path's total node
-weight equals the social cost of the equilibrium it assembles.
+property forces unique opinions in closed form.  Those opinions depend on the
+pivot only, so every segment with pivot b is a slice of one non-decreasing
+chain of opinions; the players that break a pointer in it form one index
+range, and the self-consistent ("legit") segments follow from a sweep over
+those ranges in O(n^2 log n) plus the output (:func:`build_segment_graph`).
+The solver wires consecutive legit segments into a DAG and answers existence /
+best / worst / enumeration queries as source-sink path computations; a path's
+total node weight equals the social cost of the equilibrium it assembles.
+Each query function accepts a prebuilt graph, so one build serves them all.
 
 Assembled vectors are always re-verified with :func:`kcof.game.is_pure_nash`
 before being reported - the graph tests use non-strict comparisons, so at
@@ -21,13 +25,14 @@ Indices are 0-based throughout (a segment is a triple ``a <= b < c``).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from . import _accel
-from .game import GameInstance, Opinions, as_opinions
+from .game import GameInstance, Opinions
 
 __all__ = [
     "Segment",
@@ -110,30 +115,21 @@ class Segment:
         return (self.a, self.b, self.c)
 
 
-def _build_segment_scaled(
-    s: Sequence[int], n: int, a: int, b: int, c: int
-) -> tuple[list[int], int, bool, bool]:
-    z = _segment_opinions(s, a, b, c)
-    weight = sum(abs(z[p - a] - s[p]) for p in range(a, c + 1))
-    pairwise = _consistency(s, z, a, b, c)
-    boundary_ok = a != 1 and c != n - 2
-    return z, weight, boundary_ok and pairwise, pairwise
-
-
 def build_segment(inst: GameInstance, a: int, b: int, c: int) -> Segment:
     """Compute one segment's forced opinions, weight, and legitimacy."""
     _require_k1(inst)
     if not 0 <= a <= b < c < inst.n:
         raise ValueError(f"need 0 <= a <= b < c < n, got ({a}, {b}, {c}) with n={inst.n}")
     s_int, factor = _scale(inst)
-    z, weight, legit, pairwise = _build_segment_scaled(s_int, inst.n, a, b, c)
+    z = _segment_opinions(s_int, a, b, c)
+    pairwise = _consistency(s_int, z, a, b, c)
     return Segment(
         a=a,
         b=b,
         c=c,
         opinions=tuple(Fraction(v, factor) for v in z),
-        weight=Fraction(weight, factor),
-        legit=legit,
+        weight=Fraction(sum(abs(z[p - a] - s_int[p]) for p in range(a, c + 1)), factor),
+        legit=pairwise and a != 1 and c != inst.n - 2,
         pairwise_consistent=pairwise,
     )
 
@@ -153,92 +149,153 @@ class SegmentGraph:
     _factor: int
 
 
+def _violators(s: Sequence[int], z: Sequence[int], b: int) -> tuple[list[int], list[int]]:
+    """For each player p, the nearest players below and above p that break p's pointer.
+
+    q breaks p's pointer when |z_q - s_p| < |z_d - s_p| for p's designated
+    neighbour d.  ``z`` is non-decreasing, so those q form one index range;
+    ``-1`` and ``n`` stand for "none on that side".
+    """
+    n = len(s)
+    lv = [-1] * n
+    rv = [n] * n
+    for p in range(n):
+        dd = abs(z[p + 1 if p <= b else p - 1] - s[p])
+        lo = bisect_right(z, s[p] - dd)
+        hi = bisect_left(z, s[p] + dd)
+        if lo < hi:
+            if lo < p:
+                lv[p] = min(hi, p) - 1
+            if hi > p + 1:
+                rv[p] = max(lo, p + 1)
+    return lv, rv
+
+
 def build_segment_graph(inst: GameInstance) -> SegmentGraph:
-    """Enumerate all O(n^3) candidate segments and wire the legit ones."""
+    """Find every legit segment from one opinion chain per pivot, and wire them.
+
+    A segment's closed forms do not depend on a or c, so segment (a, b, c) is
+    the slice a..c of the chain ``_segment_opinions(s, 0, b, n-1)``.  Left of
+    the pivot z_p lies between s_p and z_{p+1}, right of it between z_{p-1}
+    and s_p, so for sorted beliefs the chain is non-decreasing (exactly: the
+    scale makes every division exact).  The members that break player p's
+    pointer therefore form one index range, found by bisection; with lv(p) and
+    rv(p) the nearest of them below and above p, (a, b, c) is consistent iff
+    every p in a..c has lv(p) < a and rv(p) > c.  Fewer members cannot create
+    a violation, so sweeping a down from b and c up from b+1 stops at the first
+    violation, and weights come from a prefix sum of |z_p - s_p|.  An edge
+    test reads only the two opinions at the boundary, so it is made once per
+    (b, c) of the left segment and pivot b' of the right one.  Cost:
+    O(n^2 log n) plus the output.  Segment ids follow the lexicographic order
+    of the triples.
+    """
     _require_k1(inst)
     n = inst.n
     s_int, factor = _scale(inst)
 
-    triples: list[tuple[int, int, int]] = []
-    z_rows: list[list[int]] = []
-    weights: list[int] = []
+    # found[a]: (b, c, opinions, weight) in (b, c) order
+    found: list[list[tuple[int, int, list[int], int]]] = [[] for _ in range(n)]
+    for b in range(n - 1):
+        z = _segment_opinions(s_int, 0, b, n - 1)
+        lv, rv = _violators(s_int, z, b)
+        prefix = [0]
+        for p in range(n):
+            prefix.append(prefix[-1] + abs(z[p] - s_int[p]))
+        lv_ab, rv_ab = -1, n  # max lv and min rv over a..b
+        for a in range(b, -1, -1):
+            lv_ab, rv_ab = max(lv_ab, lv[a]), min(rv_ab, rv[a])
+            lv_ac, rv_ac = lv_ab, rv_ab
+            c = b + 1
+            while c < n:
+                lv_ac, rv_ac = max(lv_ac, lv[c]), min(rv_ac, rv[c])
+                if lv_ac >= a or rv_ac <= c:
+                    break
+                if a != 1 and c != n - 2:
+                    found[a].append((b, c, z[a : c + 1], prefix[c + 1] - prefix[a]))
+                c += 1
+            if c == b + 1:
+                break  # no c works for a, so none works for any smaller a
+
     segs: list[Segment] = []
-    for a in range(n - 1):
-        if a == 1:
-            continue  # boundary condition can never hold
-        for b in range(a, n - 1):
-            for c in range(b + 1, n):
-                if c == n - 2:
-                    continue
-                z, w, legit, pairwise = _build_segment_scaled(s_int, n, a, b, c)
-                if not legit:
-                    continue
-                triples.append((a, b, c))
-                z_rows.append(z)
-                weights.append(w)
-                segs.append(
-                    Segment(
-                        a=a,
-                        b=b,
-                        c=c,
-                        opinions=tuple(Fraction(v, factor) for v in z),
-                        weight=Fraction(w, factor),
-                        legit=True,
-                        pairwise_consistent=pairwise,
-                    )
+    z_rows: list[tuple[int, ...]] = []
+    weights: list[int] = []
+    # starts[a]: per pivot b of the segments at a, (b, z_a, z_{a+1}, their ids)
+    starts: list[list[tuple[int, int, int, list[int]]]] = [[] for _ in range(n)]
+    for a in range(n):
+        for b, c, z, w in found[a]:
+            if not starts[a] or starts[a][-1][0] != b:
+                starts[a].append((b, z[0], z[1], []))
+            starts[a][-1][3].append(len(segs))
+            segs.append(
+                Segment(
+                    a=a,
+                    b=b,
+                    c=c,
+                    opinions=tuple(Fraction(v, factor) for v in z),
+                    weight=Fraction(w, factor),
+                    legit=True,
+                    pairwise_consistent=True,
                 )
+            )
+            z_rows.append(tuple(z))
+            weights.append(w)
 
-    by_start: dict[int, list[int]] = {}
-    for idx, (a, _, _) in enumerate(triples):
-        by_start.setdefault(a, []).append(idx)
-
+    out_of: dict[tuple[int, int], tuple[int, ...]] = {}
     successors: list[tuple[int, ...]] = []
-    for u, (a, b, c) in enumerate(triples):
+    for seg, z in zip(segs, z_rows):
+        c = seg.c
+        key = (seg.b, c)
         if c == n - 1:
             successors.append(())
             continue
-        zu = z_rows[u]
-        outs = []
-        for v in by_start.get(c + 1, ()):
-            av = triples[v][0]
-            zv = z_rows[v]
-            # player c keeps pointing at c-1, player a' keeps pointing at a'+1
-            ok_left = abs(zu[c - 1 - a] - s_int[c]) <= abs(zv[0] - s_int[c])
-            ok_right = abs(zv[1] - s_int[av]) <= abs(zu[c - a] - s_int[av])
-            if ok_left and ok_right:
-                outs.append(v)
-        successors.append(tuple(outs))
+        if key not in out_of:
+            # player c keeps pointing at c-1, player c+1 keeps pointing at c+2
+            pointer_c = abs(z[c - 1 - seg.a] - s_int[c])
+            across_c = abs(z[c - seg.a] - s_int[c + 1])
+            outs: list[int] = []
+            for _, z0, z1, ids in starts[c + 1]:
+                if pointer_c <= abs(z0 - s_int[c]) and abs(z1 - s_int[c + 1]) <= across_c:
+                    outs.extend(ids)
+            out_of[key] = tuple(outs)
+        successors.append(out_of[key])
 
-    start_ids = tuple(i for i, (a, _, _) in enumerate(triples) if a == 0)
-    end_ids = tuple(i for i, (_, _, c) in enumerate(triples) if c == n - 1)
     return SegmentGraph(
         n=n,
         segments=tuple(segs),
         successors=tuple(successors),
-        start_ids=start_ids,
-        end_ids=end_ids,
+        start_ids=tuple(u for u, seg in enumerate(segs) if seg.a == 0),
+        end_ids=tuple(u for u, seg in enumerate(segs) if seg.c == n - 1),
         _s_int=tuple(s_int),
-        _z_int=tuple(tuple(z) for z in z_rows),
+        _z_int=tuple(z_rows),
         _w_int=tuple(weights),
         _factor=factor,
     )
 
 
+def _graph_for(inst: GameInstance, graph: Optional[SegmentGraph]) -> SegmentGraph:
+    """The given graph, checked against ``inst``, or a new one."""
+    _require_k1(inst)
+    if graph is None:
+        return build_segment_graph(inst)
+    if graph._s_int != tuple(_scale(inst)[0]):
+        raise ValueError("the segment graph was built for a different instance")
+    return graph
+
+
 def _reaches_end(graph: SegmentGraph) -> list[bool]:
-    n = graph.n
-    order = sorted(range(len(graph.segments)), key=lambda u: -graph.segments[u].a)
+    # ids follow the triples, so successors (a' = c+1 > a) have larger ids
     reach = [False] * len(graph.segments)
-    for u in order:
-        if graph.segments[u].c == n - 1:
+    for u in range(len(graph.segments) - 1, -1, -1):
+        if graph.segments[u].c == graph.n - 1:
             reach[u] = True
         else:
             reach[u] = any(reach[v] for v in graph.successors[u])
     return reach
 
 
-def exists_pne(inst: GameInstance) -> bool:
+def exists_pne(inst: GameInstance, graph: Optional[SegmentGraph] = None) -> bool:
     """Whether the segment DAG has any source-sink path."""
-    graph = build_segment_graph(inst)
+    graph = _graph_for(inst, graph)
     reach = _reaches_end(graph)
     return any(reach[u] for u in graph.start_ids)
 
@@ -247,8 +304,7 @@ def _completion_bounds(graph: SegmentGraph, maximize: bool) -> list[Optional[int
     """Best achievable weight from each node to a sink, node weight included."""
     better = max if maximize else min
     comp: list[Optional[int]] = [None] * len(graph.segments)
-    order = sorted(range(len(graph.segments)), key=lambda u: -graph.segments[u].a)
-    for u in order:
+    for u in range(len(graph.segments) - 1, -1, -1):
         w = graph._w_int[u]
         if graph.segments[u].c == graph.n - 1:
             comp[u] = w
@@ -262,104 +318,102 @@ def _completion_bounds(graph: SegmentGraph, maximize: bool) -> list[Optional[int
 def _ordered_paths(
     graph: SegmentGraph, maximize: bool
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (total weight, path) best-first; ties by lexicographic triples.
+    """Yield (total weight, path of segment ids) best-first.
 
-    A* over the DAG with the exact completion bound as heuristic, so paths
-    come out in exact weight order with polynomial delay.
+    Ties go to the lexicographically smaller path; ids follow the triples, so
+    that is also the smaller sequence of triples.  A* over the DAG with the
+    exact completion bound as heuristic, so paths come out in exact weight
+    order with polynomial delay.
     """
     comp = _completion_bounds(graph, maximize)
     sign = -1 if maximize else 1
-    heap: list[tuple[int, tuple[tuple[int, int, int], ...], int, int]] = []
+    heap: list[tuple[int, tuple[int, ...], int]] = []
     for u in graph.start_ids:
         if comp[u] is None:
             continue
-        heapq.heappush(heap, (sign * comp[u], (graph.segments[u].triple,), u, graph._w_int[u]))
+        heapq.heappush(heap, (sign * comp[u], (u,), graph._w_int[u]))
     while heap:
-        _, triples, u, acc = heapq.heappop(heap)
+        _, path, acc = heapq.heappop(heap)
+        u = path[-1]
         if graph.segments[u].c == graph.n - 1:
-            yield acc, triples
+            yield acc, path
             continue
         for v in graph.successors[u]:
             if comp[v] is None:
                 continue
             nacc = acc + graph._w_int[v]
             prio = sign * (nacc + comp[v] - graph._w_int[v])
-            heapq.heappush(heap, (prio, triples + (graph.segments[v].triple,), v, nacc))
-
-
-def _assemble(graph: SegmentGraph, triples: Sequence[tuple[int, int, int]]) -> list[int]:
-    index = {graph.segments[u].triple: u for u in range(len(graph.segments))}
-    out: list[int] = []
-    for t in triples:
-        out.extend(graph._z_int[index[t]])
-    return out
+            heapq.heappush(heap, (prio, path + (v,), nacc))
 
 
 def _passes(graph: SegmentGraph, z_int: Sequence[int]) -> bool:
     return _accel.first_unstable(list(graph._s_int), list(z_int), 1) == -1
 
 
-def _extreme_pne(
-    inst: GameInstance, maximize: bool
-) -> Optional[tuple[Opinions, Fraction]]:
-    graph = build_segment_graph(inst)
-    for weight, triples in _ordered_paths(graph, maximize):
-        z_int = _assemble(graph, triples)
+def _extreme_pne(graph: SegmentGraph, maximize: bool) -> Optional[tuple[Opinions, Fraction]]:
+    for weight, path in _ordered_paths(graph, maximize):
+        z_int = [v for u in path for v in graph._z_int[u]]
         if _passes(graph, z_int):
             f = graph._factor
             return tuple(Fraction(v, f) for v in z_int), Fraction(weight, f)
     return None
 
 
-def best_pne(inst: GameInstance) -> Optional[tuple[Opinions, Fraction]]:
-    """Minimum social-cost equilibrium, or None when none exists."""
-    _require_k1(inst)
-    return _extreme_pne(inst, maximize=False)
+def best_pne(
+    inst: GameInstance, graph: Optional[SegmentGraph] = None
+) -> Optional[tuple[Opinions, Fraction]]:
+    """Minimum social-cost equilibrium, or None when none exists.
+
+    ``graph``, when given, must be ``build_segment_graph(inst)``; it saves
+    building the DAG again.
+    """
+    return _extreme_pne(_graph_for(inst, graph), maximize=False)
 
 
-def worst_pne(inst: GameInstance) -> Optional[tuple[Opinions, Fraction]]:
-    """Maximum social-cost equilibrium, or None when none exists."""
-    _require_k1(inst)
-    return _extreme_pne(inst, maximize=True)
+def worst_pne(
+    inst: GameInstance, graph: Optional[SegmentGraph] = None
+) -> Optional[tuple[Opinions, Fraction]]:
+    """Maximum social-cost equilibrium, or None when none exists (``graph`` as in best_pne)."""
+    return _extreme_pne(_graph_for(inst, graph), maximize=True)
 
 
-def enumerate_pne(inst: GameInstance, limit: int) -> list[tuple[Opinions, Fraction]]:
+def enumerate_pne(
+    inst: GameInstance, limit: int, graph: Optional[SegmentGraph] = None
+) -> list[tuple[Opinions, Fraction]]:
     """Up to ``limit`` distinct equilibria via depth-first path enumeration.
 
     Distinct decompositions of degenerate instances can assemble the same
-    vector; duplicates are dropped.  Every returned vector has passed the
-    exact equilibrium check.
+    vector; duplicates are dropped.  The stack holds the opinions assembled so
+    far, and a (segment, opinions so far) pair is expanded once: a repeat has
+    the same completions, so skipping it changes neither the results nor their
+    order, and n equal beliefs (2^(n-2) paths, one equilibrium) take
+    polynomial time.  Every returned vector has passed the exact equilibrium
+    check.  ``graph`` as in :func:`best_pne`.
     """
-    _require_k1(inst)
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    graph = build_segment_graph(inst)
+    graph = _graph_for(inst, graph)
     reach = _reaches_end(graph)
     found: list[tuple[Opinions, Fraction]] = []
     seen: set[tuple[int, ...]] = set()
+    expanded: set[tuple[int, tuple[int, ...]]] = set()
     f = graph._factor
 
-    stack: list[tuple[int, tuple[int, ...], int]] = []
-    for u in sorted(graph.start_ids, key=lambda u: graph.segments[u].triple, reverse=True):
-        if reach[u]:
-            stack.append((u, (u,), graph._w_int[u]))
+    stack = [(u, graph._z_int[u], graph._w_int[u]) for u in reversed(graph.start_ids) if reach[u]]
     while stack and len(found) < limit:
-        u, path, acc = stack.pop()
+        u, z_int, acc = stack.pop()
         if graph.segments[u].c == graph.n - 1:
-            z_int = tuple(v for seg in path for v in graph._z_int[seg])
             if z_int not in seen:
                 seen.add(z_int)
                 if _passes(graph, z_int):
-                    found.append(
-                        (tuple(Fraction(v, f) for v in z_int), Fraction(acc, f))
-                    )
+                    found.append((tuple(Fraction(v, f) for v in z_int), Fraction(acc, f)))
             continue
-        for v in sorted(
-            (v for v in graph.successors[u] if reach[v]),
-            key=lambda v: graph.segments[v].triple,
-            reverse=True,
-        ):
-            stack.append((v, path + (v,), acc + graph._w_int[v]))
+        if (u, z_int) in expanded:
+            continue
+        expanded.add((u, z_int))
+        for v in reversed(graph.successors[u]):
+            if reach[v]:
+                stack.append((v, z_int + graph._z_int[v], acc + graph._w_int[v]))
     return found
 
 

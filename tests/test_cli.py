@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from kcof import GameInstance, load_instance, write_instance
+import kcof
+from kcof import GameInstance, load_instance, segments, write_instance
 from kcof.catalog import catalog_entry
 from kcof.cli import main
 from kcof.instance_io import InstanceFormatError
@@ -107,6 +112,43 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "enumerated 2 equilibria" in out
         assert "digraph" in dot.read_text()
+
+    def test_builds_the_segment_graph_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps({"k": 1, "beliefs": ["0", "9", "12", "21"]}))
+        build = segments.build_segment_graph
+        calls = []
+
+        def counting(inst):
+            calls.append(inst)
+            return build(inst)
+
+        monkeypatch.setattr(segments, "build_segment_graph", counting)
+        dot = tmp_path / "g.dot"
+        assert main(["solve", str(path), "--enumerate", "8", "--dot", str(dot), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["enumerated"]) == 2
+        assert "C(0,1,3)" in dot.read_text()
+        assert len(calls) == 1
+
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        # 30 equal beliefs: about 280 kB of JSON, more than a pipe holds, so
+        # kcof is still writing when the reader closes its end
+        path = tmp_path / "equal.json"
+        path.write_text(json.dumps({"k": 1, "beliefs": ["0"] * 30}))
+        env = {**os.environ, "PYTHONPATH": str(Path(kcof.__file__).resolve().parents[1])}
+        with subprocess.Popen(
+            [sys.executable, "-m", "kcof.cli", "solve", "--json", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 2
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
 
     def test_no_equilibrium_report(self, tmp_path, capsys):
         path = tmp_path / "gadget.json"

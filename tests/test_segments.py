@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -108,6 +110,84 @@ class TestSegmentGraph:
             build_segment_graph(GameInstance(k=2, beliefs=(0, 1, 2)))
 
 
+class TestGraphAgainstSingleSegments:
+    """The chain-and-range build against the per-triple ``build_segment``."""
+
+    def test_matches_per_triple_reference_on_many_ties(self):
+        rng = random.Random(0x5E6)
+        repeated = at_start = at_end = 0
+        for _ in range(1000):
+            n = rng.randint(2, 9)
+            values = [
+                F(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 8)))
+                for _ in range(rng.randint(1, 6))
+            ]
+            inst = GameInstance(k=1, beliefs=tuple(sorted(rng.choice(values) for _ in range(n))))
+            s = inst.beliefs
+            graph = build_segment_graph(inst)
+            every = [
+                build_segment(inst, a, b, c)
+                for a in range(n)
+                for b in range(a, n - 1)
+                for c in range(b + 1, n)
+            ]
+            legit = [seg for seg in every if seg.legit]
+            # same segments, opinions and weights, in lexicographic triple order
+            assert graph.segments == tuple(legit)
+            for u, seg in enumerate(legit):
+                # player c keeps pointing at c-1, the next block's first player at its second
+                wired = tuple(
+                    v
+                    for v, nxt in enumerate(legit)
+                    if nxt.a == seg.c + 1
+                    and abs(seg.opinions[-2] - s[seg.c]) <= abs(nxt.opinions[0] - s[seg.c])
+                    and abs(nxt.opinions[1] - s[nxt.a]) <= abs(seg.opinions[-1] - s[nxt.a])
+                )
+                assert graph.successors[u] == wired
+            assert graph.start_ids == tuple(u for u, seg in enumerate(legit) if seg.a == 0)
+            assert graph.end_ids == tuple(u for u, seg in enumerate(legit) if seg.c == n - 1)
+            repeated += sum(len(set(s[g.a : g.c + 1])) < g.c - g.a + 1 for g in legit)
+            at_start += sum(g.a == 0 for g in legit)
+            at_end += sum(g.c == n - 1 for g in legit)
+        assert repeated >= 5000
+        assert at_start >= 2500
+        assert at_end >= 2500
+
+    def test_graph_of_another_instance_is_rejected(self, quad):
+        graph = build_segment_graph(GameInstance(k=1, beliefs=(0, 9, 12, 22)))
+        with pytest.raises(ValueError, match="different instance"):
+            best_pne(quad, graph=graph)
+
+    def test_prebuilt_graph_gives_the_same_answers(self, rng):
+        for _ in range(20):
+            inst = random_instance(rng)
+            graph = build_segment_graph(inst)
+            assert best_pne(inst, graph=graph) == best_pne(inst)
+            assert worst_pne(inst, graph=graph) == worst_pne(inst)
+            assert enumerate_pne(inst, 64, graph=graph) == enumerate_pne(inst, 64)
+            assert exists_pne(inst, graph=graph) == exists_pne(inst)
+
+
+class _CountedReads:
+    """A successors table that counts reads per segment id.
+
+    A third read of one id fails at once, so a walk over exponentially many
+    paths fails fast instead of running on.
+    """
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.reads = Counter()
+
+    def __getitem__(self, u):
+        self.reads[u] += 1
+        assert self.reads[u] <= 2, f"successors of segment {u} read {self.reads[u]} times"
+        return self.rows[u]
+
+    def __len__(self):
+        return len(self.rows)
+
+
 class TestExistence:
     def test_quad_has_equilibria(self, quad):
         assert exists_pne(quad)
@@ -155,6 +235,19 @@ class TestPathQueries:
         assert len(enumerate_pne(quad, 1)) == 1
         with pytest.raises(ValueError):
             enumerate_pne(quad, 0)
+
+    def test_equal_prefixes_are_expanded_once(self):
+        # 30 equal beliefs: 2^28 source-sink paths, one equilibrium
+        inst = GameInstance(k=1, beliefs=(3,) * 30)
+        graph = build_segment_graph(inst)
+        counted = _CountedReads(graph.successors)
+        graph = replace(graph, successors=counted)
+        assert exists_pne(inst, graph=graph)
+        reach_pass = Counter(counted.reads)  # the reachability pass alone
+        counted.reads.clear()
+        assert enumerate_pne(inst, 8, graph=graph) == [((3,) * 30, 0)]
+        expansions = counted.reads - reach_pass
+        assert expansions and max(expansions.values()) == 1
 
     def test_degenerate_duplicates_collapse(self):
         inst = GameInstance(k=1, beliefs=(5, 5, 5, 5))
