@@ -31,12 +31,14 @@ from .game import (
     GameInstance,
     Interval,
     Neighborhood,
+    PureCheck,
     PureVerdict,
     StructureReport,
     Violation,
     as_opinions,
     best_response,
     best_response_dynamics,
+    check_pure,
     interval,
     is_pure_nash,
     neighborhood,
@@ -46,11 +48,13 @@ from .game import (
 )
 from .instance_io import InstanceDocument, InstanceFormatError, load_instance, write_instance
 from .mixed import (
-    MAX_REALIZATIONS,
+    MAX_WORK,
+    MixedCheck,
     MixedVerdict,
     MixedViolation,
     as_randomized,
     best_deterministic_deviation,
+    check_mixed,
     expected_player_cost,
     expected_social_cost,
     is_mixed_nash,

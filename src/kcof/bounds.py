@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import segments
-from .game import GameInstance, Opinions, as_opinions, is_pure_nash, social_cost
+from .game import GameInstance, Opinions, check_pure, social_cost
 from .optimize import OptimizerConfig, optimize_social_cost
 from .rationals import to_fraction
 
@@ -151,10 +151,10 @@ def poa_bracket(
         if found is not None:
             worst_cost = found[1]
     elif known_pne is not None:
-        z = as_opinions(inst, known_pne)
-        if not is_pure_nash(inst, z).is_pne:
+        known = check_pure(inst, known_pne)
+        if not known.verdict.is_pne:
             raise ValueError("known_pne does not pass the equilibrium check")
-        worst_cost = social_cost(inst, z)
+        worst_cost = known.social_cost
 
     opt_lower = opt_lower_bound_k(inst)
     if inst.k == 1:

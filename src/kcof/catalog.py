@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import segments
-from .game import GameInstance, Opinions, is_pure_nash, social_cost
-from .mixed import RandomizedOpinions, expected_social_cost, is_mixed_nash
+from .game import GameInstance, Opinions, check_pure
+from .mixed import RandomizedOpinions, check_mixed
 from .rationals import to_fraction
 
 __all__ = [
@@ -68,22 +68,24 @@ def verify_entry(entry: CatalogEntry) -> None:
     for ref in entry.references:
         where = f"{entry.name}/{ref.tag}"
         if ref.mixed is not None:
-            cost = expected_social_cost(inst, ref.mixed)
+            mixed = check_mixed(inst, ref.mixed)
+            cost = mixed.expected_social_cost
             if cost != ref.expected_cost:
                 raise AssertionError(f"{where}: E[SC]={cost} != {ref.expected_cost}")
             if ref.verdict != MNE:
                 raise AssertionError(f"{where}: mixed references must claim MNE")
-            if not is_mixed_nash(inst, ref.mixed).is_mne:
+            if not mixed.verdict.is_mne:
                 raise AssertionError(f"{where}: expected a mixed equilibrium")
             continue
-        cost = social_cost(inst, ref.opinions)
+        pure = check_pure(inst, ref.opinions)
+        cost = pure.social_cost
         if cost != ref.expected_cost:
             raise AssertionError(f"{where}: SC={cost} != {ref.expected_cost}")
         if ref.verdict == PNE:
-            if not is_pure_nash(inst, ref.opinions).is_pne:
+            if not pure.verdict.is_pne:
                 raise AssertionError(f"{where}: expected a pure equilibrium")
         elif ref.verdict == NOT_EQUILIBRIUM:
-            if is_pure_nash(inst, ref.opinions).is_pne:
+            if pure.verdict.is_pne:
                 raise AssertionError(f"{where}: expected a non-equilibrium")
         elif ref.verdict != NEAR_OPT:
             raise AssertionError(f"{where}: unknown verdict {ref.verdict!r}")
@@ -206,7 +208,10 @@ def _pos_chain(lam: Fraction) -> CatalogEntry:
             ReferenceVector("equilibrium", Fraction(34, 3) - 4 * lam, PNE, opinions=z),
             ReferenceVector("near_opt", near_cost, NEAR_OPT, opinions=near),
         ),
-        notes="six-player chain whose unique equilibrium is costlier than the best known vector",
+        notes=(
+            "six-player chain whose unique equilibrium costs 34/3 - 4 lam: more than the "
+            "near_opt vector for lam < 1/12, the same at 1/12, and less above it"
+        ),
     )
 
 

@@ -25,15 +25,8 @@ from . import mixed as mixed_mod
 from . import segments
 from .catalog import MNE, NEAR_OPT, NOT_EQUILIBRIUM, PNE, ReferenceVector
 from .catalog import catalog as build_catalog
-from .game import (
-    GameInstance,
-    best_response_dynamics,
-    is_pure_nash,
-    player_cost,
-    social_cost,
-    structure_report,
-)
-from .instance_io import InstanceFormatError, document_dict, load_instance, write_instance
+from .game import GameInstance, best_response_dynamics, check_pure, is_pure_nash
+from .instance_io import InstanceFormatError, load_instance, write_instance
 from .optimize import OptimizerConfig, optimize_social_cost
 from .rationals import format_rational, parse_rational
 
@@ -53,10 +46,9 @@ def _fail(message: str) -> int:
 
 
 def _pure_check_report(inst: GameInstance, opinions) -> tuple[dict, list[str], bool]:
-    verdict = is_pure_nash(inst, opinions)
-    costs = [player_cost(inst, opinions, i) for i in range(inst.n)]
-    sc = social_cost(inst, opinions)
-    structure = structure_report(inst, opinions)
+    checked = check_pure(inst, opinions)
+    verdict, costs, sc = checked.verdict, checked.player_costs, checked.social_cost
+    structure = checked.structure
     report = {
         "pne": verdict.is_pne,
         "social_cost": _R(sc),
@@ -97,9 +89,8 @@ def _pure_check_report(inst: GameInstance, opinions) -> tuple[dict, list[str], b
 
 
 def _mixed_check_report(inst: GameInstance, rz) -> tuple[dict, list[str], bool]:
-    verdict = mixed_mod.is_mixed_nash(inst, rz)
-    expected = [mixed_mod.expected_player_cost(inst, rz, i) for i in range(inst.n)]
-    esc = mixed_mod.expected_social_cost(inst, rz)
+    checked = mixed_mod.check_mixed(inst, rz)
+    verdict, expected, esc = checked.verdict, checked.expected_costs, checked.expected_social_cost
     report = {
         "mne": verdict.is_mne,
         "expected_social_cost": _R(esc),
@@ -215,8 +206,8 @@ def _cmd_solve(args) -> int:
         f"ran {result.rounds} rounds, outcome: {result.outcome}"
     ]
     if result.outcome == "converged":
-        verdict = is_pure_nash(inst, result.opinions)
-        sc = social_cost(inst, result.opinions)
+        checked = check_pure(inst, result.opinions)
+        verdict, sc = checked.verdict, checked.social_cost
         report["opinions"] = [_R(v) for v in result.opinions]
         report["social_cost"] = _R(sc)
         report["pne"] = verdict.is_pne
@@ -301,15 +292,14 @@ def _cmd_optimize(args) -> int:
 
 def _verdict_of(inst: GameInstance, ref: ReferenceVector) -> tuple[str, Fraction]:
     if ref.mixed is not None:
-        cost = mixed_mod.expected_social_cost(inst, ref.mixed)
-        verdict = MNE if mixed_mod.is_mixed_nash(inst, ref.mixed).is_mne else NOT_EQUILIBRIUM
-        return verdict, cost
-    cost = social_cost(inst, ref.opinions)
+        mixed = mixed_mod.check_mixed(inst, ref.mixed)
+        return MNE if mixed.verdict.is_mne else NOT_EQUILIBRIUM, mixed.expected_social_cost
+    pure = check_pure(inst, ref.opinions)
     if ref.verdict in (PNE, NOT_EQUILIBRIUM):
-        verdict = PNE if is_pure_nash(inst, ref.opinions).is_pne else NOT_EQUILIBRIUM
+        verdict = PNE if pure.verdict.is_pne else NOT_EQUILIBRIUM
     else:
         verdict = NEAR_OPT  # cost-only reference
-    return verdict, cost
+    return verdict, pure.social_cost
 
 
 def _cmd_catalog(args) -> int:

@@ -7,12 +7,19 @@ opinions lie closest to her belief.  Her unique cost-minimizing opinion is the
 midpoint of the shortest interval spanning her belief and those neighbor
 opinions, which makes pure-equilibrium verification an exact midpoint test.
 
-All values are ``fractions.Fraction`` and every comparison is exact.  Distance
-ties when ranking neighbor candidates break toward the player's own opinion
-first and then toward the smallest index; that rule is defined once, in
-:func:`kcof._accel.ranked`, which this module and the integer kernels share.
-The ``tie_seen`` diagnostic on verdicts reports when such a boundary tie
-occurred, i.e. when the verdict could depend on the tie rule at all.
+Inputs and results are ``fractions.Fraction`` and every comparison is exact.
+Inside, a check scales the beliefs and opinions once to integers over their
+lcm denominator (exact for any size, since Python ints do not overflow) and
+ranks each player once: :func:`check_pure` takes the verdict, the player
+costs, the social cost and the structure flags from that one pass, in
+O(n^2 log n) for n players.  :func:`is_pure_nash`, :func:`social_cost` and
+:func:`structure_report` are views of it.
+
+Distance ties when ranking neighbor candidates break toward the player's own
+opinion first and then toward the smallest index; that rule is defined once,
+in :func:`kcof._accel.ranked`, which this module and the integer kernels
+share.  The ``tie_seen`` diagnostic on verdicts reports when such a boundary
+tie occurred, i.e. when the verdict could depend on the tie rule at all.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ __all__ = [
     "Neighborhood",
     "Interval",
     "PureVerdict",
+    "PureCheck",
     "Violation",
     "DynamicsResult",
     "StructureReport",
@@ -41,6 +49,7 @@ __all__ = [
     "social_cost",
     "best_response",
     "is_pure_nash",
+    "check_pure",
     "best_response_dynamics",
     "structure_report",
 ]
@@ -120,19 +129,55 @@ def _check_index(inst: GameInstance, i: int) -> None:
         raise IndexError(f"player index {i} out of range for n={inst.n}")
 
 
-def _chosen(inst: GameInstance, z: Sequence[Fraction], i: int) -> tuple[list[int], bool]:
-    """Neighbor indices for player i plus a boundary-tie diagnostic."""
-    order = ranked(z, i, inst.beliefs[i], z[i])
-    k = inst.k
+def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm denominator d of the values and each value times d."""
+    d = lcm(*[q.denominator for q in values])
+    return d, [q.numerator * (d // q.denominator) for q in values]
+
+
+def _rank(
+    s: Sequence[int], z: Sequence[int], k: int, i: int, ref: int
+) -> tuple[list[int], bool, int, int]:
+    """One ranking of player i's candidates at the integer scale.
+
+    Returns the k chosen neighbours, whether the k-th and (k+1)-th are tied
+    on distance to s_i, and the ends of the span of s_i and the neighbours'
+    opinions (the best reply is its midpoint).  ``ref`` is the tie reference
+    of :func:`kcof._accel.ranked`.
+    """
+    order = ranked(z, i, s[i], ref)
     tie = len(order) > k and order[k - 1][0] == order[k][0]
-    return [j for _, _, j in order[:k]], tie
+    chosen = [j for _, _, j in order[:k]]
+    lo = hi = s[i]
+    for j in chosen:
+        v = z[j]
+        if v < lo:
+            lo = v
+        elif v > hi:
+            hi = v
+    return chosen, tie, lo, hi
+
+
+def _owner(z: Sequence[int], chosen: Sequence[int], i: int, si: int, value: int) -> int:
+    """Who attains an end of player i's interval: i first, then the smallest index."""
+    if value == si or value == z[i]:
+        return i
+    return min(j for j in chosen if z[j] == value)
+
+
+def _player(inst: GameInstance, z: Sequence, i: int):
+    """The scale d, s and z times d, and player i's ranking with her own
+    opinion as the tie reference."""
+    _check_index(inst, i)
+    zz = as_opinions(inst, z)
+    d, ints = _scaled((*inst.beliefs, *zz))
+    s, zs = ints[: inst.n], ints[inst.n :]
+    return d, s, zs, _rank(s, zs, inst.k, i, zs[i])
 
 
 def neighborhood(inst: GameInstance, z: Sequence, i: int) -> Neighborhood:
     """The k players (j != i) whose opinions minimize |z_j - s_i|."""
-    _check_index(inst, i)
-    zz = as_opinions(inst, z)
-    chosen, _ = _chosen(inst, zz, i)
+    _, _, _, (chosen, _, _, _) = _player(inst, z, i)
     return Neighborhood(owner=i, members=frozenset(chosen))
 
 
@@ -142,33 +187,19 @@ def interval(inst: GameInstance, z: Sequence, i: int) -> tuple[Interval, int, in
     Returns the interval plus the player indices owning its endpoints
     (ties prefer the owner i, then the smallest index).
     """
-    _check_index(inst, i)
-    zz = as_opinions(inst, z)
-    chosen, _ = _chosen(inst, zz, i)
-    points = [(inst.beliefs[i], i), (zz[i], i)] + [(zz[j], j) for j in chosen]
-    lo = min(v for v, _ in points)
-    hi = max(v for v, _ in points)
-
-    def owner(value: Fraction) -> int:
-        owners = [j for v, j in points if v == value]
-        return i if i in owners else min(owners)
-
-    return Interval(lo, hi), owner(lo), owner(hi)
+    d, s, zs, (chosen, _, lo, hi) = _player(inst, z, i)
+    lo, hi = min(lo, zs[i]), max(hi, zs[i])
+    return (
+        Interval(Fraction(lo, d), Fraction(hi, d)),
+        _owner(zs, chosen, i, s[i], lo),
+        _owner(zs, chosen, i, s[i], hi),
+    )
 
 
 def player_cost(inst: GameInstance, z: Sequence, i: int) -> Fraction:
     """max over neighbors j of max(|z_i - s_i|, |z_j - z_i|)."""
-    _check_index(inst, i)
-    zz = as_opinions(inst, z)
-    chosen, _ = _chosen(inst, zz, i)
-    cost = abs(zz[i] - inst.beliefs[i])
-    for j in chosen:
-        cost = max(cost, abs(zz[j] - zz[i]))
-    return cost
-
-
-def social_cost(inst: GameInstance, z: Sequence) -> Fraction:
-    return sum((player_cost(inst, z, i) for i in range(inst.n)), Fraction(0))
+    d, _, zs, (_, _, lo, hi) = _player(inst, z, i)
+    return Fraction(max(zs[i] - lo, hi - zs[i]), d)
 
 
 def best_response(inst: GameInstance, z: Sequence, i: int) -> Fraction:
@@ -178,11 +209,8 @@ def best_response(inst: GameInstance, z: Sequence, i: int) -> Fraction:
     z_i enters solely as the tie reference when two candidates are exactly
     equidistant from s_i.
     """
-    _check_index(inst, i)
-    zz = as_opinions(inst, z)
-    chosen, _ = _chosen(inst, zz, i)
-    values = [inst.beliefs[i]] + [zz[j] for j in chosen]
-    return (min(values) + max(values)) / 2
+    d, _, _, (_, _, lo, hi) = _player(inst, z, i)
+    return Fraction(lo + hi, 2 * d)
 
 
 @dataclass(frozen=True)
@@ -204,21 +232,98 @@ class PureVerdict:
         return self.is_pne
 
 
-def is_pure_nash(inst: GameInstance, z: Sequence) -> PureVerdict:
-    """Exact equilibrium check: z_i must equal its best response for all i."""
+@dataclass(frozen=True)
+class StructureReport:
+    """Structural facts that hold at every pure Nash equilibrium."""
+
+    monotone: bool
+    in_belief_range: bool
+    consecutive_neighborhoods: bool
+
+    @property
+    def all_ok(self) -> bool:
+        return self.monotone and self.in_belief_range and self.consecutive_neighborhoods
+
+
+@dataclass(frozen=True)
+class PureCheck:
+    """Everything one pass over the players decides about an opinion vector."""
+
+    verdict: PureVerdict
+    player_costs: tuple[Fraction, ...]
+    social_cost: Fraction
+    structure: StructureReport
+
+
+def check_pure(inst: GameInstance, z: Sequence) -> PureCheck:
+    """Verdict, player costs, social cost and structure of z in one pass.
+
+    Each player is ranked once, at the integer scale of the beliefs and
+    opinions.  From the ranking come the chosen neighbours, the boundary-tie
+    flag, and the span [lo, hi] of s_i and their opinions: z_i is a best
+    reply exactly when 2 z_i = lo + hi, and the player's cost is
+    max(z_i - lo, hi - z_i).  The structure flags are
+
+    - ``monotone``: z_i <= z_{i+1} wherever s_i < s_{i+1};
+    - ``in_belief_range``: z_i lies between the beliefs of the owners of the
+      ends of the interval spanning s_i, z_i and the neighbours' opinions
+      (ties prefer i, then the smallest index);
+    - ``consecutive_neighborhoods``: for every i, some window of k+1
+      consecutive players containing i, together with s_i, spans exactly
+      that interval.
+
+    They are informational for arbitrary vectors; at a verified equilibrium
+    all three hold.
+    """
     zz = as_opinions(inst, z)
+    n, k = inst.n, inst.k
+    d, ints = _scaled((*inst.beliefs, *zz))
+    s, zs = ints[:n], ints[n:]
+    windows = [(min(zs[a : a + k + 1]), max(zs[a : a + k + 1])) for a in range(n - k)]
+    costs = []
     violations = []
     tie_seen = False
-    for i in range(inst.n):
-        chosen, tie = _chosen(inst, zz, i)
+    in_range = consecutive = True
+    for i in range(n):
+        si, zi = s[i], zs[i]
+        chosen, tie, lo, hi = _rank(s, zs, k, i, zi)
         tie_seen = tie_seen or tie
-        values = [inst.beliefs[i]] + [zz[j] for j in chosen]
-        lo, hi = min(values), max(values)
-        reply = (lo + hi) / 2
-        if zz[i] != reply:
-            standing = max(abs(zz[i] - inst.beliefs[i]), *(abs(zz[j] - zz[i]) for j in chosen))
-            violations.append(Violation(i, reply, standing - (hi - lo) / 2))
-    return PureVerdict(not violations, tuple(violations), tie_seen)
+        cost = max(zi - lo, hi - zi)
+        costs.append(cost)
+        if 2 * zi != lo + hi:
+            violations.append(
+                Violation(i, Fraction(lo + hi, 2 * d), Fraction(2 * cost - (hi - lo), 2 * d))
+            )
+        lo, hi = min(lo, zi), max(hi, zi)
+        if not s[_owner(zs, chosen, i, si, lo)] <= zi <= s[_owner(zs, chosen, i, si, hi)]:
+            in_range = False
+        if consecutive and not any(
+            min(si, wlo) == lo and max(si, whi) == hi
+            for wlo, whi in windows[max(0, i - k) : min(i, n - 1 - k) + 1]
+        ):
+            consecutive = False
+    monotone = all(zs[i] <= zs[i + 1] for i in range(n - 1) if s[i] < s[i + 1])
+    return PureCheck(
+        PureVerdict(not violations, tuple(violations), tie_seen),
+        tuple(Fraction(c, d) for c in costs),
+        Fraction(sum(costs), d),
+        StructureReport(monotone, in_range, consecutive),
+    )
+
+
+def is_pure_nash(inst: GameInstance, z: Sequence) -> PureVerdict:
+    """Exact equilibrium check: z_i must equal its best response for all i."""
+    return check_pure(inst, z).verdict
+
+
+def social_cost(inst: GameInstance, z: Sequence) -> Fraction:
+    """Sum of the player costs."""
+    return check_pure(inst, z).social_cost
+
+
+def structure_report(inst: GameInstance, z: Sequence) -> StructureReport:
+    """The structure flags of :func:`check_pure`."""
+    return check_pure(inst, z).structure
 
 
 @dataclass(frozen=True)
@@ -316,10 +421,9 @@ def best_response_dynamics(
         raise ValueError("schedule must be a permutation of all players")
     start = as_opinions(inst, z0)
 
-    denom = lcm(*[q.denominator for q in (*inst.beliefs, *start)])
-    s = [int(q * denom) for q in inst.beliefs]
-    z = [int(q * denom) for q in start]
     n, k = inst.n, inst.k
+    denom, ints = _scaled((*inst.beliefs, *start))
+    s, z = ints[:n], ints[n:]
 
     def snapshot() -> Opinions:
         return tuple(Fraction(v, denom) for v in z)
@@ -400,48 +504,3 @@ def best_response_dynamics(
         if len(seen) < _STATE_WINDOW:
             seen[key] = rounds
     return result("exhausted", snapshot(), max_rounds)
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Structural facts that hold at every pure Nash equilibrium."""
-
-    monotone: bool
-    in_belief_range: bool
-    consecutive_neighborhoods: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.monotone and self.in_belief_range and self.consecutive_neighborhoods
-
-
-def structure_report(inst: GameInstance, z: Sequence) -> StructureReport:
-    """Check opinion monotonicity, belief-range containment, and whether each
-    player's interval is spanned by some window of k+1 consecutive players.
-
-    Informational for arbitrary vectors; at a verified equilibrium all three
-    hold.
-    """
-    zz = as_opinions(inst, z)
-    s = inst.beliefs
-    n, k = inst.n, inst.k
-
-    monotone = all(
-        zz[i] <= zz[i + 1] for i in range(n - 1) if s[i] < s[i + 1]
-    )
-
-    in_range = True
-    consecutive = True
-    for i in range(n):
-        box, lo_owner, hi_owner = interval(inst, zz, i)
-        if not (s[lo_owner] <= zz[i] <= s[hi_owner]):
-            in_range = False
-        found = False
-        for a in range(max(0, i - k), min(i, n - 1 - k) + 1):
-            window = zz[a : a + k + 1]
-            if min(s[i], *window) == box.lo and max(s[i], *window) == box.hi:
-                found = True
-                break
-        if not found:
-            consecutive = False
-    return StructureReport(monotone, in_range, consecutive)

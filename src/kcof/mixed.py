@@ -2,8 +2,17 @@
 
 Players randomize independently over finite opinion supports.  Expectations
 are computed by enumerating the full product distribution exactly - no
-sampling anywhere - which the realization cap keeps affordable (known
-constructions randomize two players over two points each).
+sampling anywhere.  :func:`check_mixed` enumerates it once: per realization
+it ranks every player once, at one integer scale for all opinions and
+beliefs (with each player's probabilities as integers over their own lcm
+denominator), and from the rankings takes every player's cost and every
+player's deviation interval.  :func:`is_mixed_nash`,
+:func:`expected_player_cost`, :func:`expected_social_cost` and
+:func:`best_deterministic_deviation` are views of that pass.  A check costs
+one ranking of n - 1 keys per player and realization, and the cap
+:data:`MAX_WORK` bounds realizations x n^2, which keeps the largest admitted
+profile to seconds rather than hours: the n^2 counts the keys and the fixed
+cost of each ranking, which dominates when n is small.
 
 A profile is a mixed Nash equilibrium when no player can lower her expected
 cost with any deterministic opinion.  Against a fixed realization of the
@@ -12,22 +21,24 @@ interval spanning her belief and her neighbors' opinions, so her expected
 deviation cost is a convex piecewise-linear function of the deviation; its
 minimum sits at a kink, and every kink is the midpoint of one realization's
 interval.  Those midpoints (plus the player's own support and the beliefs,
-as a belt-and-braces probe) are evaluated exactly.
+as a belt-and-braces probe) are evaluated exactly, in one sweep over them in
+increasing order.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Sequence
+from math import lcm, prod
+from typing import Sequence
 
-from ._accel import ranked
-from .game import GameInstance, as_opinions, is_pure_nash, player_cost
+from .game import GameInstance, _check_index, _rank, _scaled
 from .rationals import to_fraction
 
 __all__ = [
-    "MAX_REALIZATIONS",
+    "MAX_WORK",
     "RandomizedOpinions",
     "as_randomized",
     "expected_player_cost",
@@ -35,10 +46,13 @@ __all__ = [
     "best_deterministic_deviation",
     "MixedViolation",
     "MixedVerdict",
+    "MixedCheck",
+    "check_mixed",
     "is_mixed_nash",
 ]
 
-MAX_REALIZATIONS = 10**6
+# realizations x n^2: a check makes n rankings of n - 1 keys per realization
+MAX_WORK = 10**7
 
 Support = tuple[tuple[Fraction, Fraction], ...]  # (opinion, probability) pairs
 RandomizedOpinions = tuple[Support, ...]
@@ -65,98 +79,48 @@ def as_randomized(inst: GameInstance, rz: Sequence) -> RandomizedOpinions:
             raise ValueError(f"player {i}'s probabilities do not sum to 1")
         count *= len(pairs)
         out.append(pairs)
-    if count > MAX_REALIZATIONS:
+    work = count * inst.n**2
+    if work > MAX_WORK:
         raise ValueError(
-            f"{count} realizations exceed the exact-enumeration cap {MAX_REALIZATIONS}"
+            f"{count} realizations of {inst.n} players: {count} x {inst.n}^2 = {work} "
+            f"exceeds the exact-enumeration cap {MAX_WORK}"
         )
     return tuple(out)
-
-
-def _realizations(
-    supports: Sequence[Support],
-) -> Iterator[tuple[tuple[Fraction, ...], Fraction]]:
-    for combo in product(*supports):
-        prob = Fraction(1)
-        for _, pr in combo:
-            prob *= pr
-        yield tuple(op for op, _ in combo), prob
-
-
-def expected_player_cost(inst: GameInstance, rz: Sequence, i: int) -> Fraction:
-    """Exact expectation of player i's cost over the product distribution."""
-    supports = as_randomized(inst, rz)
-    total = Fraction(0)
-    for z, prob in _realizations(supports):
-        total += prob * player_cost(inst, z, i)
-    return total
-
-
-def expected_social_cost(inst: GameInstance, rz: Sequence) -> Fraction:
-    """Sum of expected player costs (one pass over the realizations)."""
-    supports = as_randomized(inst, rz)
-    total = Fraction(0)
-    for z, prob in _realizations(supports):
-        for i in range(inst.n):
-            total += prob * player_cost(inst, z, i)
-    return total
 
 
 def _mean_opinion(support: Support) -> Fraction:
     return sum((op * pr for op, pr in support), Fraction(0))
 
 
-def _deviation_intervals(
-    inst: GameInstance, supports: RandomizedOpinions, i: int
-) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """(probability, lo, hi) of the deviator's cost interval per realization.
+def _best_deviation(spans: dict[tuple[int, int], int], extra: set[int]) -> tuple[int, int]:
+    """Smallest minimizer of g(y) = sum of w * max(y - 2 lo, 2 hi - y), and g there.
 
-    The neighborhood depends only on the others' realization, never on the
-    deviation itself; distance ties to the belief break toward the mean of
-    the player's own strategy (for a one-point support that is exactly the
-    deterministic tie rule), then toward the smallest index.
+    ``spans`` maps each deviation interval [lo, hi] to its weight; y runs
+    over ``extra`` plus every lo + hi, all in doubled units.  An interval
+    whose kink lo + hi is at most y contributes w * (y - 2 lo), the others
+    w * (2 hi - y); the sweep moves the intervals from the second sum to
+    the first in order of their kinks.
     """
-    s_i = inst.beliefs[i]
-    ref = _mean_opinion(supports[i])
-    out = []
-    # the deviator's own slot is a placeholder that ranked() skips
-    for combo in product(*supports[:i], ((ref, 1),), *supports[i + 1 :]):
-        prob = Fraction(1)
-        for _, pr in combo:
-            prob *= pr
-        z = [op for op, _ in combo]
-        values = [z[j] for _, _, j in ranked(z, i, s_i, ref)[: inst.k]]
-        out.append((prob, min(s_i, *values), max(s_i, *values)))
-    return out
-
-
-def best_deterministic_deviation(
-    inst: GameInstance, rz: Sequence, i: int
-) -> tuple[Fraction, Fraction]:
-    """Global minimizer of the expected deviation cost, with its value.
-
-    Returns (y_star, expected_cost); ties in the minimum prefer the smallest
-    deviation.
-    """
-    supports = as_randomized(inst, rz)
-    if not 0 <= i < inst.n:
-        raise IndexError(f"player index {i} out of range")
-    intervals = _deviation_intervals(inst, supports, i)
-
-    def g(y: Fraction) -> Fraction:
-        return sum(
-            (prob * max(y - lo, hi - y) for prob, lo, hi in intervals), Fraction(0)
-        )
-
-    candidates = {(lo + hi) / 2 for _, lo, hi in intervals}
-    candidates.update(op for op, _ in supports[i])
-    candidates.update(inst.beliefs)
-    best_y, best_cost = None, None
-    for y in sorted(candidates):
-        cost = g(y)
-        if best_cost is None or cost < best_cost:
-            best_y, best_cost = y, cost
-    assert best_y is not None and best_cost is not None
-    return best_y, best_cost
+    kinks = sorted((lo + hi, lo, hi, w) for (lo, hi), w in spans.items())
+    probes = sorted(extra | {c for c, _, _, _ in kinks})
+    w_left = lo_left = 0
+    w_right = sum(w for *_, w in kinks)
+    hi_right = sum(2 * hi * w for _, _, hi, w in kinks)
+    best_y = best = None
+    p = 0
+    for y in probes:
+        while p < len(kinks) and kinks[p][0] <= y:
+            _, lo, hi, w = kinks[p]
+            w_left += w
+            lo_left += 2 * lo * w
+            w_right -= w
+            hi_right -= 2 * hi * w
+            p += 1
+        g = w_left * y - lo_left + hi_right - w_right * y
+        if best is None or g < best:
+            best_y, best = y, g
+    assert best_y is not None and best is not None
+    return best_y, best
 
 
 @dataclass(frozen=True)
@@ -175,13 +139,99 @@ class MixedVerdict:
         return self.is_mne
 
 
+@dataclass(frozen=True)
+class MixedCheck:
+    """Everything one enumeration of the realizations decides about a profile.
+
+    ``deviations[i]`` is player i's best deterministic deviation and its
+    expected cost (ties prefer the smallest deviation).
+    """
+
+    verdict: MixedVerdict
+    expected_costs: tuple[Fraction, ...]
+    expected_social_cost: Fraction
+    deviations: tuple[tuple[Fraction, Fraction], ...]
+
+
+def check_mixed(inst: GameInstance, rz: Sequence) -> MixedCheck:
+    """Verdict, expected costs and best deviations in one pass over the realizations.
+
+    Per realization each player is ranked with her realized opinion as the
+    tie reference, which gives her cost.  Her deviation interval depends on
+    the others' realization only, with the mean of her own strategy as the
+    tie reference (for a one-point support that is exactly the
+    deterministic tie rule), so it is taken once per realization of the
+    others: where she plays her first support point.
+    """
+    supports = as_randomized(inst, rz)
+    n, k = inst.n, inst.k
+    means = [_mean_opinion(sup) for sup in supports]
+    d, ints = _scaled((*inst.beliefs, *means, *(op for sup in supports for op, _ in sup)))
+    s, ref, ops = ints[:n], ints[n : 2 * n], iter(ints[2 * n :])
+    qs = [lcm(*[pr.denominator for _, pr in sup]) for sup in supports]
+    q = prod(qs)  # the denominator of a realization's weight
+    scaled = [
+        tuple((next(ops), pr.numerator * (qi // pr.denominator)) for _, pr in sup)
+        for sup, qi in zip(supports, qs)
+    ]
+    first = [sup[0] for sup in scaled]
+
+    totals = [0] * n
+    spans: list[dict[tuple[int, int], int]] = [defaultdict(int) for _ in range(n)]
+    for combo in product(*scaled):
+        z = [op for op, _ in combo]
+        w = 1
+        for _, pr in combo:
+            w *= pr
+        for i, zi in enumerate(z):
+            _, _, lo, hi = _rank(s, z, k, i, zi)
+            totals[i] += w * max(zi - lo, hi - zi)
+            op0, w0 = first[i]
+            if zi == op0:
+                if ref[i] != zi:
+                    _, _, lo, hi = _rank(s, z, k, i, ref[i])
+                spans[i][lo, hi] += w // w0
+
+    costs = tuple(Fraction(t, d * q) for t in totals)
+    deviations = []
+    violations = []
+    for i, sup in enumerate(scaled):
+        y, g = _best_deviation(spans[i], {2 * op for op, _ in sup} | {2 * v for v in s})
+        y_star, deviated = Fraction(y, 2 * d), Fraction(g, 2 * d * (q // qs[i]))
+        deviations.append((y_star, deviated))
+        if deviated < costs[i]:
+            violations.append(MixedViolation(i, y_star, costs[i] - deviated))
+    return MixedCheck(
+        MixedVerdict(not violations, tuple(violations)),
+        costs,
+        Fraction(sum(totals), d * q),
+        tuple(deviations),
+    )
+
+
+def expected_player_cost(inst: GameInstance, rz: Sequence, i: int) -> Fraction:
+    """Exact expectation of player i's cost over the product distribution."""
+    _check_index(inst, i)
+    return check_mixed(inst, rz).expected_costs[i]
+
+
+def expected_social_cost(inst: GameInstance, rz: Sequence) -> Fraction:
+    """Sum of expected player costs."""
+    return check_mixed(inst, rz).expected_social_cost
+
+
+def best_deterministic_deviation(
+    inst: GameInstance, rz: Sequence, i: int
+) -> tuple[Fraction, Fraction]:
+    """Global minimizer of the expected deviation cost, with its value.
+
+    Returns (y_star, expected_cost); ties in the minimum prefer the smallest
+    deviation.
+    """
+    _check_index(inst, i)
+    return check_mixed(inst, rz).deviations[i]
+
+
 def is_mixed_nash(inst: GameInstance, rz: Sequence) -> MixedVerdict:
     """Exact check: every player's expected cost <= her best deviation cost."""
-    supports = as_randomized(inst, rz)
-    violations = []
-    for i in range(inst.n):
-        standing = expected_player_cost(inst, supports, i)
-        y_star, deviated = best_deterministic_deviation(inst, supports, i)
-        if deviated < standing:
-            violations.append(MixedViolation(i, y_star, standing - deviated))
-    return MixedVerdict(not violations, tuple(violations))
+    return check_mixed(inst, rz).verdict

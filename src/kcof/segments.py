@@ -14,10 +14,12 @@ best / worst / enumeration queries as source-sink path computations; a path's
 total node weight equals the social cost of the equilibrium it assembles.
 Each query function accepts a prebuilt graph, so one build serves them all.
 
-Assembled vectors are always re-verified with :func:`kcof.game.is_pure_nash`
-before being reported - the graph tests use non-strict comparisons, so at
-exact distance ties a path may describe an equilibrium that only exists under
-a different tie rule than ours.
+Assembled vectors are always re-verified before being reported, by the
+integer equilibrium test :func:`kcof._accel.first_unstable` on the graph's
+integer scale (the same tie rule as :func:`kcof.game.is_pure_nash`) - the
+graph tests use non-strict comparisons, so at exact distance ties a path may
+describe an equilibrium that only exists under a different tie rule than
+ours.  :func:`brute_force_pne_oracle` checks its candidates the same way.
 
 Indices are 0-based throughout (a segment is a triple ``a <= b < c``).
 """

@@ -218,6 +218,14 @@ class TestMixedCheck:
     def test_missing_mixed_field(self, eq_file):
         assert main(["mixed-check", eq_file]) == 2
 
+    def test_work_cap_exits_two(self, tmp_path, capsys):
+        n = 19
+        mixed = [[[str(i), "1/2"], [str(i + 1), "1/2"]] for i in range(n)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"k": 1, "beliefs": [str(i) for i in range(n)], "mixed": mixed}))
+        assert main(["mixed-check", str(path)]) == 2
+        assert "cap" in capsys.readouterr().err
+
 
 class TestCatalogCommand:
     def test_writes_instances_and_table(self, tmp_path, capsys):

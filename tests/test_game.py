@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ from kcof import (
     as_opinions,
     best_response,
     best_response_dynamics,
+    check_pure,
     interval,
     is_pure_nash,
     neighborhood,
@@ -253,3 +255,106 @@ class TestStructureReport:
         inst = GameInstance(k=1, beliefs=(0, 10, 20))
         report = structure_report(inst, (5, 0, 20))
         assert not report.monotone
+
+
+def _brute_pure(s, z, k):
+    """check_pure from the definitions, over Fractions, one player at a time.
+
+    Ranks by (|z_j - s_i|, |z_j - z_i|, j); the interval of the structure
+    flags spans s_i, z_i and the neighbours, and its end owners prefer i,
+    then the smallest index; the window scan tries every window of k+1
+    consecutive players that contains i.
+    """
+    n = len(s)
+    violations, costs = [], []
+    tie_seen = False
+    in_range = consecutive = True
+    for i in range(n):
+        keys = sorted((abs(z[j] - s[i]), abs(z[j] - z[i]), j) for j in range(n) if j != i)
+        tie_seen = tie_seen or (len(keys) > k and keys[k - 1][0] == keys[k][0])
+        chosen = [j for _, _, j in keys[:k]]
+        cost = max([abs(z[i] - s[i])] + [abs(z[j] - z[i]) for j in chosen])
+        costs.append(cost)
+        reach = [s[i]] + [z[j] for j in chosen]
+        reply = (min(reach) + max(reach)) / 2
+        if z[i] != reply:
+            violations.append((i, reply, cost - (max(reach) - min(reach)) / 2))
+        points = [(s[i], i), (z[i], i)] + [(z[j], j) for j in chosen]
+        lo, hi = min(v for v, _ in points), max(v for v, _ in points)
+
+        def owner(value):
+            owners = [j for v, j in points if v == value]
+            return i if i in owners else min(owners)
+
+        in_range = in_range and s[owner(lo)] <= z[i] <= s[owner(hi)]
+        consecutive = consecutive and any(
+            min(s[i], *z[a : a + k + 1]) == lo and max(s[i], *z[a : a + k + 1]) == hi
+            for a in range(n - k)
+            if a <= i <= a + k
+        )
+    monotone = all(z[i] <= z[i + 1] for i in range(n - 1) if s[i] < s[i + 1])
+    return violations, costs, tie_seen, (monotone, in_range, consecutive)
+
+
+def _assert_matches_brute(inst, z):
+    got = check_pure(inst, z)
+    violations, costs, tie_seen, flags = _brute_pure(inst.beliefs, as_opinions(inst, z), inst.k)
+    assert got.verdict.is_pne == (not violations)
+    assert [(v.player, v.best_reply, v.cost_drop) for v in got.verdict.violations] == violations
+    assert list(got.player_costs) == costs
+    assert got.social_cost == sum(costs, F(0))
+    assert got.verdict.tie_seen == tie_seen
+    structure = got.structure
+    assert (structure.monotone, structure.in_belief_range, structure.consecutive_neighborhoods) == flags
+    # the views agree with the pass
+    assert is_pure_nash(inst, z) == got.verdict
+    assert social_cost(inst, z) == got.social_cost
+    assert structure_report(inst, z) == structure
+    assert [player_cost(inst, z, i) for i in range(inst.n)] == costs
+    return got
+
+
+class TestCheckPureDifferential:
+    """check_pure against the brute force on many-tie inputs."""
+
+    def test_many_tie_cases(self):
+        rng = random.Random(20170222)
+        seen = {"tie": 0, "not_pne": 0, "pne": 0, "k=n-1": 0, "not_monotone": 0,
+                "not_in_range": 0, "not_consecutive": 0}
+        for _ in range(2400):
+            n = rng.randint(2, 9)
+            k = rng.randint(1, n - 1)
+            pool = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(1, 6))]
+            inst = GameInstance(k=k, beliefs=tuple(sorted(rng.choice(pool) for _ in range(n))))
+            got = _assert_matches_brute(inst, tuple(rng.choice(pool) for _ in range(n)))
+            seen["tie"] += got.verdict.tie_seen
+            seen["not_pne"] += not got.verdict.is_pne
+            seen["pne"] += got.verdict.is_pne
+            seen["k=n-1"] += k == n - 1
+            seen["not_monotone"] += not got.structure.monotone
+            seen["not_in_range"] += not got.structure.in_belief_range
+            seen["not_consecutive"] += not got.structure.consecutive_neighborhoods
+        assert min(seen.values()) >= 200, seen
+
+    def test_values_near_2_to_the_80(self):
+        big = 2**80
+        inst = GameInstance(k=2, beliefs=(big, big, big + 1, big + 3, big + 3))
+        third = F(1, 3)
+        for z in [
+            (big + third, big + third, big + 1, big + 3 - third, big + 3),
+            (big, big + 1, big + 1, big + 2, big + 3),
+            (big - 1, big + F(1, 2), big + 1, big + F(5, 2), big + 4),
+        ]:
+            _assert_matches_brute(inst, z)
+
+    def test_coprime_denominators_beyond_2_to_the_64(self):
+        primes = (2027, 2029, 2039, 2053, 2063, 2069)
+        beliefs = tuple(sorted(F(3 * p + 1, p) for p in primes))
+        assert math.lcm(*primes) > 2**64
+        rng = random.Random(64)
+        for k in (1, 2, 5):
+            inst = GameInstance(k=k, beliefs=beliefs)
+            for _ in range(20):
+                z = tuple(F(rng.randint(2 * p, 4 * p), p) for p in rng.sample(primes, 6))
+                _assert_matches_brute(inst, z)
+            _assert_matches_brute(inst, beliefs)

@@ -3,22 +3,25 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
 from kcof import (
+    MAX_WORK,
     GameInstance,
     as_randomized,
     best_deterministic_deviation,
+    check_mixed,
     expected_player_cost,
     expected_social_cost,
     is_mixed_nash,
     is_pure_nash,
     player_cost,
 )
-from kcof.catalog import catalog_entry
+from kcof.catalog import PNE, catalog, catalog_entry
 
 
 def singleton_wrap(z) -> tuple:
@@ -200,3 +203,110 @@ class TestDeviationFunction:
             (expected_player_cost(inst, rz, i) for i in range(inst.n)), F(0)
         )
         assert expected_social_cost(inst, rz) == per_player
+
+
+class TestWorkCap:
+    def test_many_players_with_two_points_each_refused_at_once(self):
+        # 2**19 realizations pass a cap of 10**6 realizations, but every one
+        # ranks all 19 players
+        n = 19
+        inst = GameInstance(k=1, beliefs=tuple(range(n)))
+        two_point = tuple(((F(i), F(1, 2)), (F(i) + 1, F(1, 2))) for i in range(n))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cap"):
+            is_mixed_nash(inst, two_point)
+        assert time.perf_counter() - start < 1
+
+    @staticmethod
+    def _profile(points):
+        """Players at 0, 1, ... with uniform supports of the given sizes."""
+        inst = GameInstance(k=1, beliefs=tuple(range(len(points))))
+        rz = tuple(
+            tuple((F(i) + F(t, m), F(1, m)) for t in range(m)) for i, m in enumerate(points)
+        )
+        return inst, rz
+
+    def test_profile_at_the_cap_is_accepted(self):
+        # 100 * 100 * 40 realizations of 5 players
+        inst, rz = self._profile((100, 100, 40, 1, 1))
+        assert 100 * 100 * 40 * 5**2 == MAX_WORK
+        assert len(as_randomized(inst, rz)) == 5
+
+    def test_one_more_point_is_refused(self):
+        inst, rz = self._profile((100, 100, 41, 1, 1))
+        with pytest.raises(ValueError, match="cap"):
+            as_randomized(inst, rz)
+
+
+def _brute_mixed(inst, rz):
+    """Expected costs by product enumeration with player_cost, and each
+    player's smallest best deviation by evaluating the deviation function at
+    every kink, support point and belief."""
+    supports = as_randomized(inst, rz)
+    costs = [F(0)] * inst.n
+    for combo in product(*supports):
+        prob = F(1)
+        for _, pr in combo:
+            prob *= pr
+        z = [op for op, _ in combo]
+        for i in range(inst.n):
+            costs[i] += prob * player_cost(inst, z, i)
+    deviations = []
+    for i in range(inst.n):
+        g, kinks = _deviation_g(inst, rz, i)
+        probes = sorted(set(kinks) | {op for op, _ in supports[i]} | set(inst.beliefs))
+        best = min(probes, key=lambda y: (g(y), y))
+        deviations.append((best, g(best)))
+    return costs, deviations
+
+
+class TestCheckMixedDifferential:
+    """check_mixed against a product enumeration of player_cost."""
+
+    @staticmethod
+    def _equilibria():
+        """Catalog equilibria: pure ones wrapped as one-point supports, and mixed ones."""
+        for k in (1, 2, 3):
+            for entry in catalog(k):
+                for ref in entry.references:
+                    if ref.mixed is not None:
+                        yield entry.instance, ref.mixed
+                    elif ref.verdict == PNE:
+                        yield entry.instance, singleton_wrap(ref.opinions)
+
+    @staticmethod
+    def _random_profiles(rng, count):
+        for _ in range(count):
+            n = rng.randint(2, 6)
+            k = rng.randint(1, n - 1)
+            pool = sorted({F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(2, 5))})
+            inst = GameInstance(k=k, beliefs=tuple(sorted(rng.choice(pool) for _ in range(n))))
+            rz = []
+            for _ in range(n):
+                if len(pool) > 1 and rng.random() < 0.3:
+                    a, b = rng.sample(pool, 2)
+                    p = F(rng.randint(1, 3), 4)
+                    rz.append(((a, p), (b, 1 - p)))
+                else:
+                    rz.append(((rng.choice(pool), F(1)),))
+            yield inst, tuple(rz)
+
+    def test_matches_product_enumeration(self):
+        rng = random.Random(1702)
+        cases = list(self._equilibria()) + list(self._random_profiles(rng, 1000))
+        seen = {"mne": 0, "not_mne": 0, "randomized": 0}
+        for inst, rz in cases:
+            got = check_mixed(inst, rz)
+            costs, deviations = _brute_mixed(inst, rz)
+            assert list(got.expected_costs) == costs
+            assert got.expected_social_cost == sum(costs, F(0))
+            assert list(got.deviations) == deviations
+            violations = [
+                (i, y, costs[i] - g) for i, (y, g) in enumerate(deviations) if g < costs[i]
+            ]
+            assert [(v.player, v.deviation, v.improvement) for v in got.verdict.violations] == violations
+            assert got.verdict.is_mne == (not violations)
+            seen["mne"] += got.verdict.is_mne
+            seen["not_mne"] += not got.verdict.is_mne
+            seen["randomized"] += any(len(sup) > 1 for sup in rz)
+        assert seen["mne"] >= 20 and seen["not_mne"] >= 200 and seen["randomized"] >= 300, seen
