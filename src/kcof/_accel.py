@@ -12,6 +12,8 @@ is exact.  Best-response midpoints are tested without division via
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Sequence
 
 
@@ -72,34 +74,75 @@ def coordinate_best(
 ) -> tuple[int, int]:
     """Best (social cost, opinion) over candidate opinions for player i.
 
-    Only z_i moves, so the social cost is recomputed incrementally:
+    Only z_i moves, and z_i itself is never read, so the social cost of every
+    candidate comes from one sorted sweep:
 
     * Every other player j keeps its order of the players other than i and
       j.  The set-up ranks them once with :func:`ranked` and keeps the k-th
-      key, j's cost when i is chosen (belief and the first k - 1, without
-      the distance to z_i) and j's cost when i is not (belief and the first
-      k).  For a candidate y, j chooses i exactly when
+      key (d_j, e_j, l), j's cost c_in when i is chosen (belief and the first
+      k - 1, without the distance to z_i) and c_out when i is not (belief and
+      the first k).  For a candidate y, j chooses i exactly when
       (|y - s_j|, |y - z_j|, i) is below the k-th key; when k = n - 1 there
       is no k-th key and i is always chosen.
+    * So j adds c_out everywhere, plus max(c_in, |y - z_j|) - c_out wherever
+      it chooses i.  On the open interval (s_j - d_j, s_j + d_j) that is at
+      most three linear pieces, split at z_j - c_in and z_j + c_in, and the
+      two ends s_j - d_j and s_j + d_j are points where the tie decides.
+      The pieces go into slope and intercept difference arrays over the
+      index range of the sorted candidates, found by bisection, and the ends
+      into the intercept array at one index each.
     * Player i's own order by distance to s_i does not depend on y.
       Neighbours nearer than the k-th distance d_k are always chosen, and
       only their lowest and highest opinion matter.  The rest of the k are
       tied at d_k, so they sit at s_i - d_k or s_i + d_k, and the tie
       toward y decides whether the farther of the two values is reached.
+      That cost is O(1) per candidate.
 
-    Set-up is O(n^2 log n), one ranking per player, and each candidate then
-    costs O(n).  Ties prefer the smallest candidate value.
+    One pass over the sorted, deduplicated candidates then sums the arrays
+    and adds player i's cost.  Set-up is O(n^2 log n), one ranking per
+    player; the rows take O(n log m) and the sweep O(m) for m candidates
+    (plus sorting them).  Ties prefer the smallest candidate value.
     """
     n = len(s)
-    rows = []
+    ys = sorted(set(candidates))
+    m = len(ys)
+    # difference arrays: each other player's term is slope * y + intercept
+    slope = [0] * (m + 1)
+    icpt = [0] * (m + 1)
     for j in range(n):
         if j == i:
             continue
         sj, zj = s[j], z[j]
         keys = [key for key in ranked(z, j, sj, zj) if key[2] != i]
         c_in = max([abs(zj - sj)] + [key[1] for key in keys[: k - 1]])
-        kth = keys[k - 1] if k < n - 1 else None
-        rows.append((sj, zj, kth, c_in, max(c_in, kth[1]) if kth else c_in))
+        if k == n - 1:
+            c_out = c_in
+            first, stop = 0, m
+        else:
+            kth = keys[k - 1]
+            d = kth[0]
+            c_out = max(c_in, kth[1])
+            first, stop = bisect_right(ys, sj - d), bisect_left(ys, sj + d)
+            for y in (sj - d, sj + d) if d else (sj,):
+                t = bisect_left(ys, y)
+                if t < m and ys[t] == y and (d, abs(y - zj), i) < kth:
+                    delta = max(c_in, abs(y - zj)) - c_out
+                    icpt[t] += delta
+                    icpt[t + 1] -= delta
+        icpt[0] += c_out
+        if first < stop:
+            p = min(max(bisect_right(ys, zj - c_in), first), stop)
+            q = min(max(bisect_left(ys, zj + c_in), p), stop)
+            for lo, hi, sl, ic in (
+                (first, p, -1, zj - c_out),  # y <= z_j - c_in: z_j - y
+                (p, q, 0, c_in - c_out),  # strictly between: c_in
+                (q, stop, 1, -zj - c_out),  # y >= z_j + c_in: y - z_j
+            ):
+                if lo < hi:
+                    slope[lo] += sl
+                    slope[hi] -= sl
+                    icpt[lo] += ic
+                    icpt[hi] -= ic
 
     si = s[i]
     others = [v for j, v in enumerate(z) if j != i]
@@ -112,21 +155,15 @@ def coordinate_best(
 
     best_cost = -1
     best_y = 0
-    for y in candidates:
+    for y, sl, ic in zip(ys, accumulate(slope), accumulate(icpt)):
         # the farthest tied neighbour: the far side is reached only when the
         # near side holds fewer than `tied` players (y == s_i: both at d_k)
         if y < si:
             t = b - y if at_a < tied else abs(a - y)
         else:
             t = y - a if at_b < tied else abs(b - y)
-        c = max(abs(y - si), t, y - lo, hi - y)
-        for sj, zj, kth, c_in, c_out in rows:
-            if kth is None or (abs(y - sj), abs(y - zj), i) < kth:
-                d = abs(y - zj)
-                c += d if d > c_in else c_in
-            else:
-                c += c_out
-        if best_cost < 0 or c < best_cost or (c == best_cost and y < best_y):
+        c = max(abs(y - si), t, y - lo, hi - y) + sl * y + ic
+        if best_cost < 0 or c < best_cost:
             best_cost = c
             best_y = y
     return best_cost, best_y

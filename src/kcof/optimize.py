@@ -4,14 +4,15 @@ No component of this package computes the exact optimum (its complexity is
 open); instead, coordinate descent over a structured candidate grid produces
 a feasible opinion vector whose exact social cost upper-bounds the optimum.
 The grid contains every belief, all pairwise belief midpoints, and both
-third-points of every belief pair - the lattice on which all known optimal
-and near-optimal vectors for the catalog instances sit - optionally refined
-by inserting midpoints between adjacent candidates.
+third-points of every belief pair, optionally refined by inserting midpoints
+between adjacent candidates.  The best coordinate step is often off the grid:
+for beliefs (0, 1, 5) with k=1 the descent returns social cost 23/8, while
+moving z_3 to 17/6 gives 17/6.
 
 The cost surface is piecewise linear with jumps where neighborhoods change,
 so each coordinate move evaluates the social cost of every candidate exactly,
-in integers: :func:`kcof._accel.coordinate_best` updates it incrementally, in
-O(n) per candidate.  The best vector's cost is re-checked with the exact
+in integers: :func:`kcof._accel.coordinate_best` does so in one sorted sweep
+over the candidates.  The best vector's cost is re-checked with the exact
 ``Fraction`` reference before it is returned.
 """
 
@@ -26,7 +27,11 @@ from typing import Optional, Sequence
 from . import _accel
 from .game import GameInstance, Opinions, as_opinions, social_cost
 
-__all__ = ["OptimizerConfig", "candidate_opinions", "optimize_social_cost"]
+__all__ = ["MAX_CANDIDATES", "OptimizerConfig", "candidate_opinions", "optimize_social_cost"]
+
+# The grid holds up to about 1.45 n^2 2^L values for n distinct beliefs and L
+# refinement levels; each descent step sweeps all of them.
+MAX_CANDIDATES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,12 @@ class OptimizerConfig:
 
 
 def candidate_opinions(inst: GameInstance, extra_levels: int = 2) -> tuple[Fraction, ...]:
-    """Beliefs, pairwise midpoints, third-points, plus refinement midpoints."""
+    """Beliefs, pairwise midpoints, third-points, plus refinement midpoints.
+
+    A refinement level puts a midpoint into every gap, so m values become
+    2m - 1.  The size is worked out from the unrefined grid, and a grid of
+    more than :data:`MAX_CANDIDATES` values is refused before it is refined.
+    """
     distinct = sorted(set(inst.beliefs))
     cands = set(distinct)
     for x in distinct:
@@ -57,7 +67,14 @@ def candidate_opinions(inst: GameInstance, extra_levels: int = 2) -> tuple[Fract
                 cands.add((x + y) / 2)
                 cands.add((2 * x + y) / 3)
                 cands.add((x + 2 * y) / 3)
-    for _ in range(extra_levels):
+    levels = extra_levels if len(cands) > 1 else 0  # one value has no gap
+    size = ((len(cands) - 1) << min(levels, MAX_CANDIDATES.bit_length())) + 1
+    if size > MAX_CANDIDATES:
+        raise ValueError(
+            f"{len(distinct)} distinct beliefs with {extra_levels} refinement levels"
+            f" need more than {MAX_CANDIDATES} candidate opinions, the optimizer's cap"
+        )
+    for _ in range(levels):
         ordered = sorted(cands)
         for u, v in zip(ordered, ordered[1:]):
             cands.add((u + v) / 2)
@@ -67,17 +84,27 @@ def candidate_opinions(inst: GameInstance, extra_levels: int = 2) -> tuple[Fract
 def _descend(
     s: list[int], z: list[int], k: int, cands: list[int], max_sweeps: int
 ) -> tuple[int, list[int]]:
-    """Coordinate descent to a sweep-stable vector; cost never increases."""
+    """Coordinate descent to a sweep-stable vector; cost never increases.
+
+    A coordinate step for i never reads z_i, so once a coordinate has moved,
+    the other n - 1 failing to improve in a row prove the vector stable (with
+    no move yet, all n must fail).  The descent stops there: a full sweep
+    more would make no move.
+    """
+    n = len(s)
     cost = _accel.social_cost(s, z, k)
+    need, fails = n, 0
     for _ in range(max_sweeps):
-        sweep_start = cost
-        for i in range(len(s)):
+        for i in range(n):
             best_cost, best_y = _accel.coordinate_best(s, z, k, i, cands)
             if best_cost < cost:
                 z[i] = best_y
                 cost = best_cost
-        if cost == sweep_start:
-            break
+                need, fails = n - 1, 0
+            else:
+                fails += 1
+                if fails == need:
+                    return cost, z
     return cost, z
 
 

@@ -386,11 +386,13 @@ def enumerate_pne(
 
     Distinct decompositions of degenerate instances can assemble the same
     vector; duplicates are dropped.  The stack holds the opinions assembled so
-    far, and a (segment, opinions so far) pair is expanded once: a repeat has
-    the same completions, so skipping it changes neither the results nor their
-    order, and n equal beliefs (2^(n-2) paths, one equilibrium) take
-    polynomial time.  Every returned vector has passed the exact equilibrium
-    check.  ``graph`` as in :func:`best_pne`.
+    far.  Segments with equal (b, c) share one successor tuple, and an equal
+    prefix of opinions gives equal completions, so a (b, c, opinions so far)
+    triple is expanded once: when a repeat pops, the depth-first order has
+    already explored the same subtree, so skipping it changes neither the
+    results nor their order, and n equal beliefs (2^(n-2) paths, one
+    equilibrium) take polynomial time.  Every returned vector has passed the
+    exact equilibrium check.  ``graph`` as in :func:`best_pne`.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -398,21 +400,23 @@ def enumerate_pne(
     reach = _reaches_end(graph)
     found: list[tuple[Opinions, Fraction]] = []
     seen: set[tuple[int, ...]] = set()
-    expanded: set[tuple[int, tuple[int, ...]]] = set()
+    expanded: set[tuple[int, int, tuple[int, ...]]] = set()
     f = graph._factor
 
     stack = [(u, graph._z_int[u], graph._w_int[u]) for u in reversed(graph.start_ids) if reach[u]]
     while stack and len(found) < limit:
         u, z_int, acc = stack.pop()
-        if graph.segments[u].c == graph.n - 1:
+        seg = graph.segments[u]
+        if seg.c == graph.n - 1:
             if z_int not in seen:
                 seen.add(z_int)
                 if _passes(graph, z_int):
                     found.append((tuple(Fraction(v, f) for v in z_int), Fraction(acc, f)))
             continue
-        if (u, z_int) in expanded:
+        key = (seg.b, seg.c, z_int)
+        if key in expanded:
             continue
-        expanded.add((u, z_int))
+        expanded.add(key)
         for v in reversed(graph.successors[u]):
             if reach[v]:
                 stack.append((v, z_int + graph._z_int[v], acc + graph._w_int[v]))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -197,6 +198,14 @@ class TestOptimizeCommand:
         assert main(["optimize", str(path), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert F(report["social_cost"]) <= 1
+
+    def test_grid_cap_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"k": 1, "beliefs": ["0", "9", "12", "21"]}))
+        start = time.perf_counter()
+        assert main(["optimize", str(path), "--grid-extra", "40"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "cap" in capsys.readouterr().err
 
 
 class TestMixedCheck:

@@ -131,9 +131,27 @@ def many_tie_case(rng: random.Random):
     return s, z, k, i, cands
 
 
+def row_breakpoints(s, z, k, i):
+    """For each other player j: s_j -+ d_j, the ends of the y range where j
+    may choose i, and z_j -+ c_in, the kinks of j's cost when it does."""
+    n = len(s)
+    ends, kinks = set(), set()
+    for j in range(n):
+        if j == i:
+            continue
+        keys = sorted((abs(z[l] - s[j]), abs(z[l] - z[j]), l) for l in range(n) if l not in (i, j))
+        c_in = max([abs(z[j] - s[j])] + [key[1] for key in keys[: k - 1]])
+        kinks |= {z[j] - c_in, z[j] + c_in}
+        if k < n - 1:
+            d = keys[k - 1][0]
+            ends |= {s[j] - d, s[j] + d}
+    return ends, kinks
+
+
 def case_features(s, z, k, i, cands):
     others = [v for j, v in enumerate(z) if j != i]
     d_k = sorted(abs(v - s[i]) for v in others)[k - 1]
+    ends, kinks = row_breakpoints(s, z, k, i)
     return {
         "k = n-1": k == len(s) - 1,
         "d_k = 0": d_k == 0,
@@ -141,11 +159,13 @@ def case_features(s, z, k, i, cands):
         and s[i] - d_k in others
         and s[i] + d_k in others,
         "candidate equal to another opinion": any(y in others for y in cands),
+        "candidate equal to s_j +- d_j for some j": any(y in ends for y in cands),
+        "candidate equal to z_j +- c_in for some j": any(y in kinks for y in cands),
     }
 
 
 class TestCoordinateBest:
-    """The incremental kernel against the definition it replaces."""
+    """The sorted-sweep kernel against the definition of the social cost."""
 
     def test_matches_brute_force_on_many_ties(self):
         rng = random.Random(0xC0B)
@@ -161,7 +181,7 @@ class TestCoordinateBest:
             moved = [F(v, 7) for v in z]
             moved[i] = F(y, 7)
             assert social_cost(inst, moved) == F(cost, 7)
-        assert len(seen) == 4 and min(seen.values()) >= 200, seen
+        assert len(seen) == 6 and min(seen.values()) >= 200, seen
 
     def test_values_near_2_80(self):
         rng = random.Random(0xB16)

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from kcof import GameInstance, _accel, opt_lower_bound_k, social_cost
 from kcof.catalog import catalog_entry
-from kcof.optimize import OptimizerConfig, candidate_opinions, optimize_social_cost
+from kcof.optimize import (
+    MAX_CANDIDATES,
+    OptimizerConfig,
+    _descend,
+    candidate_opinions,
+    optimize_social_cost,
+)
 
 
 class TestConfig:
@@ -44,6 +51,19 @@ class TestCandidates:
         level1 = set(candidate_opinions(inst, 1))
         for u, v in zip(level0, level0[1:]):
             assert (u + v) / 2 in level1
+
+
+    def test_grid_above_the_cap_is_refused(self):
+        inst = GameInstance(k=1, beliefs=(0, 9, 12, 21))
+        size = len(candidate_opinions(inst, 0))  # 22 values
+        levels = (MAX_CANDIDATES // (size - 1)).bit_length() - 1
+        assert len(candidate_opinions(inst, levels)) == ((size - 1) << levels) + 1
+        with pytest.raises(ValueError, match="cap"):
+            candidate_opinions(inst, levels + 1)
+
+    def test_equal_beliefs_have_no_gap_to_refine(self):
+        inst = GameInstance(k=1, beliefs=(3, 3, 3))
+        assert candidate_opinions(inst, 10**9) == (3,)
 
 
 class TestKnownValues:
@@ -109,3 +129,70 @@ class TestInvariants:
         inst = GameInstance(k=1, beliefs=(0, 9, 12, 21))
         with pytest.raises(AssertionError, match="bookkeeping mismatch"):
             optimize_social_cost(inst, OptimizerConfig(restarts=0, max_sweeps=3))
+
+
+def full_sweep_descent(s, z, k, cands, max_sweeps):
+    """Reference descent: whole sweeps, until a sweep makes no move."""
+    cost = _accel.social_cost(s, z, k)
+    for _ in range(max_sweeps):
+        sweep_start = cost
+        for i in range(len(s)):
+            best_cost, best_y = _accel.coordinate_best(s, z, k, i, cands)
+            if best_cost < cost:
+                z[i] = best_y
+                cost = best_cost
+        if cost == sweep_start:
+            break
+    return cost, z
+
+
+def many_tie_descent_case(rng: random.Random):
+    """(s, z, k, candidates) on small integers, so that ties abound."""
+    n = rng.randint(2, 8)
+    k = rng.randint(1, n - 1)
+    s = sorted(rng.randint(0, 8) for _ in range(n))
+    cands = sorted(set(s) | {rng.randint(-2, 10) for _ in range(rng.randint(0, 6))})
+    z = [rng.choice(cands) for _ in range(n)]
+    return s, z, k, cands
+
+
+class TestDescent:
+    def test_matches_full_sweeps_on_many_ties(self):
+        rng = random.Random(0xDE5)
+        for _ in range(600):
+            s, z, k, cands = many_tie_descent_case(rng)
+            max_sweeps = rng.choice((1, 2, 3, 200))
+            assert _descend(s, list(z), k, cands, max_sweeps) == full_sweep_descent(
+                s, list(z), k, cands, max_sweeps
+            ), (s, z, k, cands, max_sweeps)
+
+    def test_stops_once_provably_stable(self, monkeypatch):
+        real = _accel.coordinate_best
+        seen = []  # the vector at each call
+
+        def counting(s, z, k, i, candidates):
+            seen.append(tuple(z))
+            return real(s, z, k, i, candidates)
+
+        monkeypatch.setattr(_accel, "coordinate_best", counting)
+        rng = random.Random(0x57A)
+        moved = 0
+        for _ in range(500):
+            s, z, k, cands = many_tie_descent_case(rng)
+            n = len(s)
+            seen.clear()
+            cost, result = _descend(s, list(z), k, cands, 200)
+            # a move changes the vector, so the last move is the last call
+            # after which the vector differs
+            after = seen[1:] + [tuple(result)]
+            moves = [t for t in range(len(seen)) if after[t] != seen[t]]
+            if moves:
+                moved += 1
+                assert len(seen) - 1 - moves[-1] == n - 1, (s, z, k, cands)
+            else:
+                assert len(seen) == n
+            # from a stable start: one failed step per coordinate, no move
+            seen.clear()
+            assert _descend(s, list(result), k, cands, 200) == (cost, result)
+            assert len(seen) == n
+        assert moved >= 300, moved
