@@ -8,9 +8,11 @@ exactly, solves the k=1 case completely via a segment DAG, brackets the
 optimal social cost with closed-form lower bounds and a heuristic upper
 bound, and ships a catalog of benchmark instances with known values.
 
-Solvers that run many cost evaluations use the pure-Python integer kernels of
-:mod:`kcof._accel` (``kernel_backend`` is always ``"python"``).  The
-neighbour tie rule is defined once, by :func:`kcof._accel.ranked`.
+Every check and solver works on the pure-Python integer core of
+:mod:`kcof._accel` (``kernel_backend`` is always ``"python"``), which defines
+each piece once: the integer scale (:func:`kcof._accel.scaled`), the
+neighbour tie rule (:func:`kcof._accel.ranked`) and the span of a player's
+belief and chosen neighbours (:func:`kcof._accel.span`).
 """
 
 from .bounds import (

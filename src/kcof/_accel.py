@@ -1,20 +1,32 @@
-"""Integer kernels, and the one place the neighbour tie rule is defined.
+"""The integer core: the one scale, the neighbour tie rule and the span.
 
-The kernels take plain ints at one shared scale (beliefs and opinions
-multiplied by a common denominator); Python ints never overflow, so any scale
-is exact.  Best-response midpoints are tested without division via
-2*z_i == lo + hi.
+Everything that decides an equilibrium or a cost works on plain ints at one
+shared scale: :func:`scaled` multiplies the beliefs and opinions by the lcm
+of their denominators.  Python ints never overflow, so any scale is exact.
 
-:func:`ranked` orders a player's candidate neighbours.  The kernels here, the
-``Fraction`` API in :mod:`kcof.game` and the mixed checks in
-:mod:`kcof.mixed` all select neighbours through it.
+:func:`ranked` orders a player's candidate neighbours by the tie rule, and
+:func:`span` takes the first k of them and the interval [lo, hi] spanning
+s_i and their opinions: the best reply is its midpoint, tested without
+division as 2*z_i == lo + hi, and the cost of z_i is the distance to its far
+end.  The ``Fraction`` API in :mod:`kcof.game`, the mixed checks in
+:mod:`kcof.mixed` and the kernels here all rank through :func:`span`;
+:func:`player_cost`, :func:`social_cost` and :func:`first_unstable` are
+short views of it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from typing import Sequence
+
+
+def scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm denominator d of the values and each value times d."""
+    d = lcm(*[q.denominator for q in values])
+    return d, [q.numerator * (d // q.denominator) for q in values]
 
 
 def ranked(z: Sequence, i: int, si, ref) -> list[tuple]:
@@ -27,19 +39,33 @@ def ranked(z: Sequence, i: int, si, ref) -> list[tuple]:
     return sorted((abs(v - si), abs(v - ref), j) for j, v in enumerate(z) if j != i)
 
 
-def _chosen(s: Sequence[int], z: Sequence[int], k: int, i: int) -> list[int]:
-    return [j for _, _, j in ranked(z, i, s[i], z[i])[:k]]
+def span(
+    s: Sequence[int], z: Sequence[int], k: int, i: int, ref: int
+) -> tuple[list[int], bool, int, int]:
+    """One ranking of player i's candidates at the integer scale.
+
+    Returns the k chosen neighbours, whether the k-th and (k+1)-th are tied
+    on distance to s_i, and the ends of the span of s_i and the neighbours'
+    opinions.  ``ref`` is the tie reference of :func:`ranked`.
+    """
+    order = ranked(z, i, s[i], ref)
+    tie = len(order) > k and order[k - 1][0] == order[k][0]
+    chosen = [j for _, _, j in order[:k]]
+    lo = hi = s[i]
+    for j in chosen:
+        v = z[j]
+        if v < lo:
+            lo = v
+        elif v > hi:
+            hi = v
+    return chosen, tie, lo, hi
 
 
 def player_cost(s: Sequence[int], z: Sequence[int], k: int, i: int) -> int:
     """Max distance from z_i to the player's belief and chosen neighbors."""
     zi = z[i]
-    cost = abs(zi - s[i])
-    for j in _chosen(s, z, k, i):
-        d = abs(z[j] - zi)
-        if d > cost:
-            cost = d
-    return cost
+    _, _, lo, hi = span(s, z, k, i, zi)
+    return max(zi - lo, hi - zi)
 
 
 def social_cost(s: Sequence[int], z: Sequence[int], k: int) -> int:
@@ -52,14 +78,7 @@ def first_unstable(s: Sequence[int], z: Sequence[int], k: int) -> int:
     Returns -1 when the vector is a pure Nash equilibrium.
     """
     for i in range(len(s)):
-        si = s[i]
-        lo = hi = si
-        for j in _chosen(s, z, k, i):
-            v = z[j]
-            if v < lo:
-                lo = v
-            elif v > hi:
-                hi = v
+        _, _, lo, hi = span(s, z, k, i, z[i])
         if 2 * z[i] != lo + hi:
             return i
     return -1

@@ -30,6 +30,7 @@ __all__ = [
     "CatalogEntry",
     "catalog",
     "catalog_entry",
+    "recompute",
     "verify_entry",
 ]
 
@@ -62,33 +63,35 @@ class CatalogEntry:
     notes: str = ""
 
 
+def recompute(inst: GameInstance, ref: ReferenceVector) -> tuple[str, Fraction]:
+    """The verdict and cost the solver modules give a reference vector.
+
+    A mixed vector is MNE or NOT_EQUILIBRIUM, with its expected social cost.
+    A pure vector that claims PNE or NOT_EQUILIBRIUM is one of the two; any
+    other pure vector is a cost-only reference, NEAR_OPT.
+    """
+    if ref.mixed is not None:
+        mixed = check_mixed(inst, ref.mixed)
+        return MNE if mixed.verdict.is_mne else NOT_EQUILIBRIUM, mixed.expected_social_cost
+    pure = check_pure(inst, ref.opinions)
+    if ref.verdict in (PNE, NOT_EQUILIBRIUM):
+        verdict = PNE if pure.verdict.is_pne else NOT_EQUILIBRIUM
+    else:
+        verdict = NEAR_OPT
+    return verdict, pure.social_cost
+
+
 def verify_entry(entry: CatalogEntry) -> None:
     """Re-derive every reference verdict and cost; raise on any mismatch."""
     inst = entry.instance
     for ref in entry.references:
-        where = f"{entry.name}/{ref.tag}"
-        if ref.mixed is not None:
-            mixed = check_mixed(inst, ref.mixed)
-            cost = mixed.expected_social_cost
-            if cost != ref.expected_cost:
-                raise AssertionError(f"{where}: E[SC]={cost} != {ref.expected_cost}")
-            if ref.verdict != MNE:
-                raise AssertionError(f"{where}: mixed references must claim MNE")
-            if not mixed.verdict.is_mne:
-                raise AssertionError(f"{where}: expected a mixed equilibrium")
-            continue
-        pure = check_pure(inst, ref.opinions)
-        cost = pure.social_cost
+        verdict, cost = recompute(inst, ref)
         if cost != ref.expected_cost:
-            raise AssertionError(f"{where}: SC={cost} != {ref.expected_cost}")
-        if ref.verdict == PNE:
-            if not pure.verdict.is_pne:
-                raise AssertionError(f"{where}: expected a pure equilibrium")
-        elif ref.verdict == NOT_EQUILIBRIUM:
-            if pure.verdict.is_pne:
-                raise AssertionError(f"{where}: expected a non-equilibrium")
-        elif ref.verdict != NEAR_OPT:
-            raise AssertionError(f"{where}: unknown verdict {ref.verdict!r}")
+            raise AssertionError(f"{entry.name}/{ref.tag}: cost {cost} != {ref.expected_cost}")
+        if verdict != ref.verdict:
+            raise AssertionError(
+                f"{entry.name}/{ref.tag}: verdict {verdict}, expected {ref.verdict}"
+            )
     if entry.name == "no_pne_gadget" and inst.k == 1 and segments.exists_pne(inst):
         raise AssertionError("no_pne_gadget: the segment graph found a path")
 

@@ -16,17 +16,16 @@ import csv
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from . import bounds as bounds_mod
 from . import mixed as mixed_mod
 from . import segments
-from .catalog import MNE, NEAR_OPT, NOT_EQUILIBRIUM, PNE, ReferenceVector
 from .catalog import catalog as build_catalog
+from .catalog import recompute
 from .game import GameInstance, best_response_dynamics, check_pure, is_pure_nash
-from .instance_io import InstanceFormatError, load_instance, write_instance
+from .instance_io import load_instance, write_instance
 from .optimize import OptimizerConfig, optimize_social_cost
 from .rationals import format_rational, parse_rational
 
@@ -117,10 +116,7 @@ def _mixed_check_report(inst: GameInstance, rz) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_check(args) -> int:
-    try:
-        doc = load_instance(args.file)
-    except InstanceFormatError as exc:
-        return _fail(str(exc))
+    doc = load_instance(args.file)
     if doc.opinions is None and doc.mixed is None:
         return _fail('the file must contain "opinions" or "mixed" to check')
     report: dict = {}
@@ -141,10 +137,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_mixed_check(args) -> int:
-    try:
-        doc = load_instance(args.file)
-    except InstanceFormatError as exc:
-        return _fail(str(exc))
+    doc = load_instance(args.file)
     if doc.mixed is None:
         return _fail('the file must contain a "mixed" field')
     report, lines, ok = _mixed_check_report(doc.instance, doc.mixed)
@@ -153,10 +146,7 @@ def _cmd_mixed_check(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        doc = load_instance(args.file)
-    except InstanceFormatError as exc:
-        return _fail(str(exc))
+    doc = load_instance(args.file)
     inst = doc.instance
     if inst.k == 1:
         graph = segments.build_segment_graph(inst)
@@ -222,10 +212,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    try:
-        doc = load_instance(args.file)
-    except InstanceFormatError as exc:
-        return _fail(str(exc))
+    doc = load_instance(args.file)
     inst = doc.instance
     known = None
     if inst.k >= 2 and doc.opinions is not None and is_pure_nash(inst, doc.opinions).is_pne:
@@ -269,10 +256,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    try:
-        doc = load_instance(args.file)
-    except InstanceFormatError as exc:
-        return _fail(str(exc))
+    doc = load_instance(args.file)
     cfg = OptimizerConfig(
         candidate_grid_extra=args.grid_extra,
         max_sweeps=args.sweeps,
@@ -290,30 +274,15 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _verdict_of(inst: GameInstance, ref: ReferenceVector) -> tuple[str, Fraction]:
-    if ref.mixed is not None:
-        mixed = mixed_mod.check_mixed(inst, ref.mixed)
-        return MNE if mixed.verdict.is_mne else NOT_EQUILIBRIUM, mixed.expected_social_cost
-    pure = check_pure(inst, ref.opinions)
-    if ref.verdict in (PNE, NOT_EQUILIBRIUM):
-        verdict = PNE if pure.verdict.is_pne else NOT_EQUILIBRIUM
-    else:
-        verdict = NEAR_OPT  # cost-only reference
-    return verdict, pure.social_cost
-
-
 def _cmd_catalog(args) -> int:
-    try:
-        lam = parse_rational(args.lam)
-        eps = parse_rational(args.epsilon)
-        entries = build_catalog(args.k, lam, eps, verify=False)
-    except (ValueError, KeyError) as exc:
-        return _fail(str(exc))
+    lam = parse_rational(args.lam)
+    eps = parse_rational(args.epsilon)
+    entries = build_catalog(args.k, lam, eps, verify=False)
 
     rows = []
     for entry in entries:
         for ref in entry.references:
-            got_verdict, got_cost = _verdict_of(entry.instance, ref)
+            got_verdict, got_cost = recompute(entry.instance, ref)
             rows.append(
                 {
                     "entry": entry.name,

@@ -8,18 +8,19 @@ midpoint of the shortest interval spanning her belief and those neighbor
 opinions, which makes pure-equilibrium verification an exact midpoint test.
 
 Inputs and results are ``fractions.Fraction`` and every comparison is exact.
-Inside, a check scales the beliefs and opinions once to integers over their
-lcm denominator (exact for any size, since Python ints do not overflow) and
-ranks each player once: :func:`check_pure` takes the verdict, the player
-costs, the social cost and the structure flags from that one pass, in
+Inside, a check scales the beliefs and opinions once to integers with
+:func:`kcof._accel.scaled` (exact for any size, since Python ints do not
+overflow) and ranks each player once with :func:`kcof._accel.span`, the one
+place that applies the neighbour tie rule and takes the interval spanning
+s_i and the chosen opinions.  :func:`check_pure` takes the verdict, the
+player costs, the social cost and the structure flags from that one pass, in
 O(n^2 log n) for n players.  :func:`is_pure_nash`, :func:`social_cost` and
 :func:`structure_report` are views of it.
 
 Distance ties when ranking neighbor candidates break toward the player's own
-opinion first and then toward the smallest index; that rule is defined once,
-in :func:`kcof._accel.ranked`, which this module and the integer kernels
-share.  The ``tie_seen`` diagnostic on verdicts reports when such a boundary
-tie occurred, i.e. when the verdict could depend on the tie rule at all.
+opinion first and then toward the smallest index (:func:`kcof._accel.ranked`).
+The ``tie_seen`` diagnostic on verdicts reports when such a boundary tie
+occurred, i.e. when the verdict could depend on the tie rule at all.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from ._accel import ranked
+from ._accel import ranked, scaled, span
 from .rationals import to_fraction
 
 __all__ = [
@@ -129,35 +129,6 @@ def _check_index(inst: GameInstance, i: int) -> None:
         raise IndexError(f"player index {i} out of range for n={inst.n}")
 
 
-def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm denominator d of the values and each value times d."""
-    d = lcm(*[q.denominator for q in values])
-    return d, [q.numerator * (d // q.denominator) for q in values]
-
-
-def _rank(
-    s: Sequence[int], z: Sequence[int], k: int, i: int, ref: int
-) -> tuple[list[int], bool, int, int]:
-    """One ranking of player i's candidates at the integer scale.
-
-    Returns the k chosen neighbours, whether the k-th and (k+1)-th are tied
-    on distance to s_i, and the ends of the span of s_i and the neighbours'
-    opinions (the best reply is its midpoint).  ``ref`` is the tie reference
-    of :func:`kcof._accel.ranked`.
-    """
-    order = ranked(z, i, s[i], ref)
-    tie = len(order) > k and order[k - 1][0] == order[k][0]
-    chosen = [j for _, _, j in order[:k]]
-    lo = hi = s[i]
-    for j in chosen:
-        v = z[j]
-        if v < lo:
-            lo = v
-        elif v > hi:
-            hi = v
-    return chosen, tie, lo, hi
-
-
 def _owner(z: Sequence[int], chosen: Sequence[int], i: int, si: int, value: int) -> int:
     """Who attains an end of player i's interval: i first, then the smallest index."""
     if value == si or value == z[i]:
@@ -170,9 +141,9 @@ def _player(inst: GameInstance, z: Sequence, i: int):
     opinion as the tie reference."""
     _check_index(inst, i)
     zz = as_opinions(inst, z)
-    d, ints = _scaled((*inst.beliefs, *zz))
+    d, ints = scaled((*inst.beliefs, *zz))
     s, zs = ints[: inst.n], ints[inst.n :]
-    return d, s, zs, _rank(s, zs, inst.k, i, zs[i])
+    return d, s, zs, span(s, zs, inst.k, i, zs[i])
 
 
 def neighborhood(inst: GameInstance, z: Sequence, i: int) -> Neighborhood:
@@ -277,7 +248,7 @@ def check_pure(inst: GameInstance, z: Sequence) -> PureCheck:
     """
     zz = as_opinions(inst, z)
     n, k = inst.n, inst.k
-    d, ints = _scaled((*inst.beliefs, *zz))
+    d, ints = scaled((*inst.beliefs, *zz))
     s, zs = ints[:n], ints[n:]
     windows = [(min(zs[a : a + k + 1]), max(zs[a : a + k + 1])) for a in range(n - k)]
     costs = []
@@ -286,7 +257,7 @@ def check_pure(inst: GameInstance, z: Sequence) -> PureCheck:
     in_range = consecutive = True
     for i in range(n):
         si, zi = s[i], zs[i]
-        chosen, tie, lo, hi = _rank(s, zs, k, i, zi)
+        chosen, tie, lo, hi = span(s, zs, k, i, zi)
         tie_seen = tie_seen or tie
         cost = max(zi - lo, hi - zi)
         costs.append(cost)
@@ -422,7 +393,7 @@ def best_response_dynamics(
     start = as_opinions(inst, z0)
 
     n, k = inst.n, inst.k
-    denom, ints = _scaled((*inst.beliefs, *start))
+    denom, ints = scaled((*inst.beliefs, *start))
     s, z = ints[:n], ints[n:]
 
     def snapshot() -> Opinions:

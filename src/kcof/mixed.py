@@ -3,9 +3,10 @@
 Players randomize independently over finite opinion supports.  Expectations
 are computed by enumerating the full product distribution exactly - no
 sampling anywhere.  :func:`check_mixed` enumerates it once: per realization
-it ranks every player once, at one integer scale for all opinions and
-beliefs (with each player's probabilities as integers over their own lcm
-denominator), and from the rankings takes every player's cost and every
+it ranks every player once with :func:`kcof._accel.span`, at one integer
+scale for all opinions and beliefs from :func:`kcof._accel.scaled` (and each
+player's probabilities as integers over their own lcm denominator, from the
+same function), and from the spans takes every player's cost and every
 player's deviation interval.  :func:`is_mixed_nash`,
 :func:`expected_player_cost`, :func:`expected_social_cost` and
 :func:`best_deterministic_deviation` are views of that pass.  A check costs
@@ -31,10 +32,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
-from .game import GameInstance, _check_index, _rank, _scaled
+from ._accel import scaled, span
+from .game import GameInstance, _check_index
 from .rationals import to_fraction
 
 __all__ = [
@@ -166,36 +168,33 @@ def check_mixed(inst: GameInstance, rz: Sequence) -> MixedCheck:
     supports = as_randomized(inst, rz)
     n, k = inst.n, inst.k
     means = [_mean_opinion(sup) for sup in supports]
-    d, ints = _scaled((*inst.beliefs, *means, *(op for sup in supports for op, _ in sup)))
+    d, ints = scaled((*inst.beliefs, *means, *(op for sup in supports for op, _ in sup)))
     s, ref, ops = ints[:n], ints[n : 2 * n], iter(ints[2 * n :])
-    qs = [lcm(*[pr.denominator for _, pr in sup]) for sup in supports]
+    qs, probs = zip(*(scaled([pr for _, pr in sup]) for sup in supports))
     q = prod(qs)  # the denominator of a realization's weight
-    scaled = [
-        tuple((next(ops), pr.numerator * (qi // pr.denominator)) for _, pr in sup)
-        for sup, qi in zip(supports, qs)
-    ]
-    first = [sup[0] for sup in scaled]
+    int_supports = [tuple((next(ops), pr) for pr in ps) for ps in probs]
+    first = [sup[0] for sup in int_supports]
 
     totals = [0] * n
     spans: list[dict[tuple[int, int], int]] = [defaultdict(int) for _ in range(n)]
-    for combo in product(*scaled):
+    for combo in product(*int_supports):
         z = [op for op, _ in combo]
         w = 1
         for _, pr in combo:
             w *= pr
         for i, zi in enumerate(z):
-            _, _, lo, hi = _rank(s, z, k, i, zi)
+            _, _, lo, hi = span(s, z, k, i, zi)
             totals[i] += w * max(zi - lo, hi - zi)
             op0, w0 = first[i]
             if zi == op0:
                 if ref[i] != zi:
-                    _, _, lo, hi = _rank(s, z, k, i, ref[i])
+                    _, _, lo, hi = span(s, z, k, i, ref[i])
                 spans[i][lo, hi] += w // w0
 
     costs = tuple(Fraction(t, d * q) for t in totals)
     deviations = []
     violations = []
-    for i, sup in enumerate(scaled):
+    for i, sup in enumerate(int_supports):
         y, g = _best_deviation(spans[i], {2 * op for op, _ in sup} | {2 * v for v in s})
         y_star, deviated = Fraction(y, 2 * d), Fraction(g, 2 * d * (q // qs[i]))
         deviations.append((y_star, deviated))

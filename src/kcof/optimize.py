@@ -11,8 +11,9 @@ moving z_3 to 17/6 gives 17/6.
 
 The cost surface is piecewise linear with jumps where neighborhoods change,
 so each coordinate move evaluates the social cost of every candidate exactly,
-in integers: :func:`kcof._accel.coordinate_best` does so in one sorted sweep
-over the candidates.  The best vector's cost is re-checked with the exact
+in integers at the one scale of :func:`kcof._accel.scaled`:
+:func:`kcof._accel.coordinate_best` does so in one sorted sweep over the
+candidates.  The best vector's cost is re-checked with the exact
 ``Fraction`` reference before it is returned.
 """
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from . import _accel
@@ -124,23 +124,22 @@ def optimize_social_cost(
     cands = candidate_opinions(inst, cfg.candidate_grid_extra)
     extra_starts = [as_opinions(inst, st) for st in starts]
 
-    all_values = [*inst.beliefs, *cands]
-    for st in extra_starts:
-        all_values.extend(st)
-    denom = lcm(*[v.denominator for v in all_values])
-    s_int = [int(v * denom) for v in inst.beliefs]
-    cand_int = [int(v * denom) for v in cands]
+    n, m = inst.n, len(cands)
+    denom, ints = _accel.scaled(
+        (*inst.beliefs, *cands, *(v for st in extra_starts for v in st))
+    )
+    s_int, cand_int = ints[:n], ints[n : n + m]
 
-    start_vectors: list[list[int]] = [[int(v * denom) for v in inst.beliefs]]
+    start_vectors: list[list[int]] = [s_int]
     # herding starts: single-coordinate descent cannot merge a spread-out
     # vector onto one point, so seed one uniform start per distinct belief
-    for b in sorted(set(inst.beliefs)):
-        start_vectors.append([int(b * denom)] * inst.n)
-    for st in extra_starts:
-        start_vectors.append([int(v * denom) for v in st])
+    for b in sorted(set(s_int)):
+        start_vectors.append([b] * n)
+    for t in range(n + m, len(ints), n):
+        start_vectors.append(ints[t : t + n])
     rng = random.Random(cfg.seed)
     for _ in range(cfg.restarts):
-        start_vectors.append([rng.choice(cand_int) for _ in range(inst.n)])
+        start_vectors.append([rng.choice(cand_int) for _ in range(n)])
 
     descents = (
         _descend(s_int, list(z0), inst.k, cand_int, cfg.max_sweeps) for z0 in start_vectors

@@ -13,6 +13,10 @@ The solver wires consecutive legit segments into a DAG and answers existence /
 best / worst / enumeration queries as source-sink path computations; a path's
 total node weight equals the social cost of the equilibrium it assembles.
 Each query function accepts a prebuilt graph, so one build serves them all.
+All of it runs on integers: the beliefs at the scale of
+:func:`kcof._accel.scaled` times 3 * 2**n, which makes every closed form
+exact, and each :class:`Segment` stores its opinions and weight at that scale
+once; their ``Fraction`` values are made only when read.
 
 Assembled vectors are always re-verified before being reported, by the
 integer equilibrium test :func:`kcof._accel.first_unstable` on the graph's
@@ -30,7 +34,6 @@ import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from . import _accel
@@ -61,11 +64,12 @@ def _scale(inst: GameInstance) -> tuple[list[int], int]:
     """Beliefs as ints at a scale that keeps every segment opinion integral.
 
     The closed forms divide once by 3 (at the pivot) and by 2 at most n-2
-    times, so beliefs * lcm(denominators) * 3 * 2**n clears everything.
+    times, so the scale of :func:`kcof._accel.scaled` times 3 * 2**n clears
+    everything.
     """
-    base = lcm(*[b.denominator for b in inst.beliefs])
-    factor = base * 3 * (1 << inst.n)
-    return [int(b * factor) for b in inst.beliefs], factor
+    d, s = _accel.scaled(inst.beliefs)
+    extra = 3 << inst.n
+    return [v * extra for v in s], d * extra
 
 
 def _segment_opinions(s: Sequence[int], a: int, b: int, c: int) -> list[int]:
@@ -100,15 +104,19 @@ def _consistency(s: Sequence[int], z: Sequence[int], a: int, b: int, c: int) -> 
 class Segment:
     """A block a..c of players pointing right up to pivot b, then left.
 
-    ``legit`` requires the boundary condition (a != 1 and c != n-2, so the
-    block can take part in a full decomposition) plus pairwise consistency.
+    ``z_int`` holds the opinions of players a..c and ``w_int`` the weight
+    (the sum of |z_p - s_p|), both times ``scale``; :attr:`opinions` and
+    :attr:`weight` are their exact values, made on access.  ``legit``
+    requires the boundary condition (a != 1 and c != n-2, so the block can
+    take part in a full decomposition) plus pairwise consistency.
     """
 
     a: int
     b: int
     c: int
-    opinions: Opinions
-    weight: Fraction
+    z_int: tuple[int, ...]
+    w_int: int
+    scale: int
     legit: bool
     pairwise_consistent: bool
 
@@ -116,21 +124,30 @@ class Segment:
     def triple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
+    @property
+    def opinions(self) -> Opinions:
+        return tuple(Fraction(v, self.scale) for v in self.z_int)
+
+    @property
+    def weight(self) -> Fraction:
+        return Fraction(self.w_int, self.scale)
+
 
 def build_segment(inst: GameInstance, a: int, b: int, c: int) -> Segment:
     """Compute one segment's forced opinions, weight, and legitimacy."""
     _require_k1(inst)
     if not 0 <= a <= b < c < inst.n:
         raise ValueError(f"need 0 <= a <= b < c < n, got ({a}, {b}, {c}) with n={inst.n}")
-    s_int, factor = _scale(inst)
+    s_int, scale = _scale(inst)
     z = _segment_opinions(s_int, a, b, c)
     pairwise = _consistency(s_int, z, a, b, c)
     return Segment(
         a=a,
         b=b,
         c=c,
-        opinions=tuple(Fraction(v, factor) for v in z),
-        weight=Fraction(sum(abs(z[p - a] - s_int[p]) for p in range(a, c + 1)), factor),
+        z_int=tuple(z),
+        w_int=sum(abs(z[p - a] - s_int[p]) for p in range(a, c + 1)),
+        scale=scale,
         legit=pairwise and a != 1 and c != inst.n - 2,
         pairwise_consistent=pairwise,
     )
@@ -146,9 +163,6 @@ class SegmentGraph:
     start_ids: tuple[int, ...]  # segments with a == 0 (edges from the source)
     end_ids: tuple[int, ...]  # segments with c == n-1 (edges to the sink)
     _s_int: tuple[int, ...]
-    _z_int: tuple[tuple[int, ...], ...]
-    _w_int: tuple[int, ...]
-    _factor: int
 
 
 def _violators(s: Sequence[int], z: Sequence[int], b: int) -> tuple[list[int], list[int]]:
@@ -193,10 +207,10 @@ def build_segment_graph(inst: GameInstance) -> SegmentGraph:
     """
     _require_k1(inst)
     n = inst.n
-    s_int, factor = _scale(inst)
+    s_int, scale = _scale(inst)
 
     # found[a]: (b, c, opinions, weight) in (b, c) order
-    found: list[list[tuple[int, int, list[int], int]]] = [[] for _ in range(n)]
+    found: list[list[tuple[int, int, tuple[int, ...], int]]] = [[] for _ in range(n)]
     for b in range(n - 1):
         z = _segment_opinions(s_int, 0, b, n - 1)
         lv, rv = _violators(s_int, z, b)
@@ -213,14 +227,12 @@ def build_segment_graph(inst: GameInstance) -> SegmentGraph:
                 if lv_ac >= a or rv_ac <= c:
                     break
                 if a != 1 and c != n - 2:
-                    found[a].append((b, c, z[a : c + 1], prefix[c + 1] - prefix[a]))
+                    found[a].append((b, c, tuple(z[a : c + 1]), prefix[c + 1] - prefix[a]))
                 c += 1
             if c == b + 1:
                 break  # no c works for a, so none works for any smaller a
 
     segs: list[Segment] = []
-    z_rows: list[tuple[int, ...]] = []
-    weights: list[int] = []
     # starts[a]: per pivot b of the segments at a, (b, z_a, z_{a+1}, their ids)
     starts: list[list[tuple[int, int, int, list[int]]]] = [[] for _ in range(n)]
     for a in range(n):
@@ -228,24 +240,12 @@ def build_segment_graph(inst: GameInstance) -> SegmentGraph:
             if not starts[a] or starts[a][-1][0] != b:
                 starts[a].append((b, z[0], z[1], []))
             starts[a][-1][3].append(len(segs))
-            segs.append(
-                Segment(
-                    a=a,
-                    b=b,
-                    c=c,
-                    opinions=tuple(Fraction(v, factor) for v in z),
-                    weight=Fraction(w, factor),
-                    legit=True,
-                    pairwise_consistent=True,
-                )
-            )
-            z_rows.append(tuple(z))
-            weights.append(w)
+            segs.append(Segment(a, b, c, z, w, scale, legit=True, pairwise_consistent=True))
 
     out_of: dict[tuple[int, int], tuple[int, ...]] = {}
     successors: list[tuple[int, ...]] = []
-    for seg, z in zip(segs, z_rows):
-        c = seg.c
+    for seg in segs:
+        c, z = seg.c, seg.z_int
         key = (seg.b, c)
         if c == n - 1:
             successors.append(())
@@ -268,9 +268,6 @@ def build_segment_graph(inst: GameInstance) -> SegmentGraph:
         start_ids=tuple(u for u, seg in enumerate(segs) if seg.a == 0),
         end_ids=tuple(u for u, seg in enumerate(segs) if seg.c == n - 1),
         _s_int=tuple(s_int),
-        _z_int=tuple(z_rows),
-        _w_int=tuple(weights),
-        _factor=factor,
     )
 
 
@@ -307,7 +304,7 @@ def _completion_bounds(graph: SegmentGraph, maximize: bool) -> list[Optional[int
     better = max if maximize else min
     comp: list[Optional[int]] = [None] * len(graph.segments)
     for u in range(len(graph.segments) - 1, -1, -1):
-        w = graph._w_int[u]
+        w = graph.segments[u].w_int
         if graph.segments[u].c == graph.n - 1:
             comp[u] = w
             continue
@@ -328,23 +325,24 @@ def _ordered_paths(
     order with polynomial delay.
     """
     comp = _completion_bounds(graph, maximize)
+    segs = graph.segments
     sign = -1 if maximize else 1
     heap: list[tuple[int, tuple[int, ...], int]] = []
     for u in graph.start_ids:
         if comp[u] is None:
             continue
-        heapq.heappush(heap, (sign * comp[u], (u,), graph._w_int[u]))
+        heapq.heappush(heap, (sign * comp[u], (u,), segs[u].w_int))
     while heap:
         _, path, acc = heapq.heappop(heap)
         u = path[-1]
-        if graph.segments[u].c == graph.n - 1:
+        if segs[u].c == graph.n - 1:
             yield acc, path
             continue
         for v in graph.successors[u]:
             if comp[v] is None:
                 continue
-            nacc = acc + graph._w_int[v]
-            prio = sign * (nacc + comp[v] - graph._w_int[v])
+            nacc = acc + segs[v].w_int
+            prio = sign * (nacc + comp[v] - segs[v].w_int)
             heapq.heappush(heap, (prio, path + (v,), nacc))
 
 
@@ -354,10 +352,10 @@ def _passes(graph: SegmentGraph, z_int: Sequence[int]) -> bool:
 
 def _extreme_pne(graph: SegmentGraph, maximize: bool) -> Optional[tuple[Opinions, Fraction]]:
     for weight, path in _ordered_paths(graph, maximize):
-        z_int = [v for u in path for v in graph._z_int[u]]
+        z_int = [v for u in path for v in graph.segments[u].z_int]
         if _passes(graph, z_int):
-            f = graph._factor
-            return tuple(Fraction(v, f) for v in z_int), Fraction(weight, f)
+            scale = graph.segments[path[0]].scale
+            return tuple(Fraction(v, scale) for v in z_int), Fraction(weight, scale)
     return None
 
 
@@ -401,16 +399,17 @@ def enumerate_pne(
     found: list[tuple[Opinions, Fraction]] = []
     seen: set[tuple[int, ...]] = set()
     expanded: set[tuple[int, int, tuple[int, ...]]] = set()
-    f = graph._factor
+    segs = graph.segments
 
-    stack = [(u, graph._z_int[u], graph._w_int[u]) for u in reversed(graph.start_ids) if reach[u]]
+    stack = [(u, segs[u].z_int, segs[u].w_int) for u in reversed(graph.start_ids) if reach[u]]
     while stack and len(found) < limit:
         u, z_int, acc = stack.pop()
-        seg = graph.segments[u]
+        seg = segs[u]
         if seg.c == graph.n - 1:
             if z_int not in seen:
                 seen.add(z_int)
                 if _passes(graph, z_int):
+                    f = seg.scale
                     found.append((tuple(Fraction(v, f) for v in z_int), Fraction(acc, f)))
             continue
         key = (seg.b, seg.c, z_int)
@@ -419,7 +418,7 @@ def enumerate_pne(
         expanded.add(key)
         for v in reversed(graph.successors[u]):
             if reach[v]:
-                stack.append((v, z_int + graph._z_int[v], acc + graph._w_int[v]))
+                stack.append((v, z_int + segs[v].z_int, acc + segs[v].w_int))
     return found
 
 
@@ -437,8 +436,7 @@ def brute_force_pne_oracle(inst: GameInstance) -> list[Opinions]:
     n = inst.n
     if n > _ORACLE_MAX_PLAYERS:
         raise ValueError(f"oracle supports n <= {_ORACLE_MAX_PLAYERS}, got {n}")
-    s_int, factor = _scale(inst)
-    s_list = list(s_int)
+    s_int, scale = _scale(inst)
 
     results: set[tuple[int, ...]] = set()
     for mask in range(1 << (n - 2)):
@@ -454,11 +452,11 @@ def brute_force_pne_oracle(inst: GameInstance) -> list[Opinions]:
             c = b + 1
             while c + 1 < n and not directions[c + 1]:
                 c += 1
-            z[a : c + 1] = _segment_opinions(s_list, a, b, c)
+            z[a : c + 1] = _segment_opinions(s_int, a, b, c)
             a = c + 1
-        if _accel.first_unstable(s_list, z, 1) == -1:
+        if _accel.first_unstable(s_int, z, 1) == -1:
             results.add(tuple(z))
-    return [tuple(Fraction(v, factor) for v in z) for z in sorted(results)]
+    return [tuple(Fraction(v, scale) for v in z) for z in sorted(results)]
 
 
 def to_dot(graph: SegmentGraph) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from kcof import GameInstance, load_instance, write_instance
 from kcof.catalog import (
     MNE,
     NEAR_OPT,
+    NOT_EQUILIBRIUM,
     PNE,
     catalog,
     catalog_entry,
@@ -95,6 +97,30 @@ class TestVerification:
     def test_gadget_beliefs(self):
         entry = catalog_entry("no_pne_gadget", k=3, eps=F(1, 8))
         assert entry.instance.beliefs == (0, 0, 0, F(7, 8), 2, 2, 2)
+
+
+def _with_reference(name: str, tag: str, **changes):
+    """The k=1 entry ``name`` holding only its reference ``tag``, changed as given."""
+    entry = catalog_entry(name, k=1)
+    ref = next(r for r in entry.references if r.tag == tag)
+    return replace(entry, references=(replace(ref, **changes),))
+
+
+class TestVerificationFails:
+    def test_wrong_cost(self):
+        entry = _with_reference("intro_triple", "equilibrium", expected_cost=F(17, 2) + 1)
+        with pytest.raises(AssertionError, match="intro_triple/equilibrium"):
+            verify_entry(entry)
+
+    def test_wrong_pure_verdict(self):
+        entry = _with_reference("intro_triple", "equilibrium", verdict=NOT_EQUILIBRIUM)
+        with pytest.raises(AssertionError, match="intro_triple/equilibrium"):
+            verify_entry(entry)
+
+    def test_mixed_reference_claiming_pne(self):
+        entry = _with_reference("mpoa_chain", "mixed_equilibrium", verdict=PNE)
+        with pytest.raises(AssertionError, match="mpoa_chain/mixed_equilibrium"):
+            verify_entry(entry)
 
 
 class TestRoundTrip:

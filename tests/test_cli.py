@@ -74,6 +74,15 @@ class TestInstanceFiles:
         assert doc.opinions == (F(1, 3), F(2, 3))
 
 
+@pytest.mark.parametrize("command", ["check", "solve", "bounds", "optimize", "mixed-check"])
+def test_unsorted_beliefs_exit_two_with_the_index(command, bad_file, capsys):
+    assert main([command, bad_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "index 0" in err
+    assert "Traceback" not in err
+
+
 class TestCheck:
     def test_equilibrium_exits_zero(self, eq_file, capsys):
         assert main(["check", eq_file]) == 0

@@ -94,7 +94,7 @@ class TestTieRule:
                 if select == "neighborhood":
                     chosen = set(neighborhood(inst, [F(v) for v in z], i).members)
                 else:
-                    chosen = set(accel._chosen(s, z, k, i))
+                    chosen = set(accel.span(s, z, k, i, z[i])[0])
                 assert len(chosen) == k
                 assert_tie_rule(s, z, i, chosen)
 

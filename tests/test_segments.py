@@ -22,6 +22,7 @@ from kcof import (
     is_pure_nash,
     social_cost,
     to_dot,
+    segments,
     worst_pne,
 )
 from kcof.catalog import catalog_entry
@@ -108,6 +109,25 @@ class TestSegmentGraph:
     def test_k_must_be_one(self):
         with pytest.raises(ValueError):
             build_segment_graph(GameInstance(k=2, beliefs=(0, 1, 2)))
+
+
+class TestIntegerSegments:
+    def test_graph_build_makes_no_fractions(self, monkeypatch):
+        made = []
+
+        class CountingFraction(F):
+            def __new__(cls, *args, **kwargs):
+                made.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        inst = GameInstance(k=1, beliefs=(3,) * 30)
+        monkeypatch.setattr(segments, "Fraction", CountingFraction)
+        graph = build_segment_graph(inst)
+        assert len(graph.segments) > 1000
+        assert made == []
+        # the exact values are made on access, through the counted class
+        assert graph.segments[0].weight == 0
+        assert made
 
 
 class TestGraphAgainstSingleSegments:
