@@ -11,14 +11,16 @@ division as 2*z_i == lo + hi, and the cost of z_i is the distance to its far
 end.  The ``Fraction`` API in :mod:`kcof.game`, the mixed checks in
 :mod:`kcof.mixed` and the kernels here all rank through :func:`span`;
 :func:`player_cost`, :func:`social_cost` and :func:`first_unstable` are
-short views of it.
+short views of it.  The optimizer's coordinate descent keeps one
+:func:`ranked` list per player across its moves (:func:`move`), and
+:func:`coordinate_best` reads them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
+from collections import defaultdict
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
 from typing import Sequence
 
@@ -84,56 +86,79 @@ def first_unstable(s: Sequence[int], z: Sequence[int], k: int) -> int:
     return -1
 
 
+def move(s: Sequence[int], z: list[int], ranks: list[list[tuple]], i: int, y: int) -> None:
+    """Set z_i = y and keep every ranking ``ranks[j] == ranked(z, j, s[j], z[j])``.
+
+    Each other player's ranking loses i's old key, found by bisection, and
+    gains the new one by ``insort``; only i's own tie reference changed, so
+    only i is ranked afresh.
+    """
+    old = z[i]
+    z[i] = y
+    for j, order in enumerate(ranks):
+        if j != i:
+            sj, zj = s[j], z[j]
+            del order[bisect_left(order, (abs(old - sj), abs(old - zj), i))]
+            insort(order, (abs(y - sj), abs(y - zj), i))
+    ranks[i] = ranked(z, i, s[i], y)
+
+
 def coordinate_best(
     s: Sequence[int],
     z: Sequence[int],
     k: int,
     i: int,
-    candidates: Sequence[int],
+    ys: Sequence[int],
+    ranks: Sequence[Sequence[tuple]],
 ) -> tuple[int, int]:
-    """Best (social cost, opinion) over candidate opinions for player i.
+    """Best (social cost, opinion) over the candidate opinions ``ys`` for player i.
 
-    Only z_i moves, and z_i itself is never read, so the social cost of every
-    candidate comes from one sorted sweep:
+    ``ys`` is sorted and distinct, and ``ranks[j]`` is
+    ``ranked(z, j, s[j], z[j])`` for every player (see :func:`move`).  Only
+    z_i moves, and z_i itself is never read, so the social cost as a function
+    of the candidate index is linear between breakpoints:
 
     * Every other player j keeps its order of the players other than i and
-      j.  The set-up ranks them once with :func:`ranked` and keeps the k-th
-      key (d_j, e_j, l), j's cost c_in when i is chosen (belief and the first
-      k - 1, without the distance to z_i) and c_out when i is not (belief and
-      the first k).  For a candidate y, j chooses i exactly when
-      (|y - s_j|, |y - z_j|, i) is below the k-th key; when k = n - 1 there
-      is no k-th key and i is always chosen.
+      j: its first k + 1 keys skipping i give the k-th key (d_j, e_j, l),
+      j's cost c_in when i is chosen (belief and the first k - 1, without
+      the distance to z_i) and c_out when i is not (belief and the first k).
+      For a candidate y, j chooses i exactly when (|y - s_j|, |y - z_j|, i)
+      is below the k-th key; when k = n - 1 there is no k-th key and i is
+      always chosen.
     * So j adds c_out everywhere, plus max(c_in, |y - z_j|) - c_out wherever
       it chooses i.  On the open interval (s_j - d_j, s_j + d_j) that is at
       most three linear pieces, split at z_j - c_in and z_j + c_in, and the
       two ends s_j - d_j and s_j + d_j are points where the tie decides.
-      The pieces go into slope and intercept difference arrays over the
-      index range of the sorted candidates, found by bisection, and the ends
-      into the intercept array at one index each.
+      Each piece end, found by bisection, changes the slope and intercept.
     * Player i's own order by distance to s_i does not depend on y.
       Neighbours nearer than the k-th distance d_k are always chosen, and
       only their lowest and highest opinion matter.  The rest of the k are
       tied at d_k, so they sit at s_i - d_k or s_i + d_k, and the tie
       toward y decides whether the farther of the two values is reached.
-      That cost is O(1) per candidate.
+      Every term of that cost has slope +-1, so on y < s_i and on y >= s_i
+      it is max(y - P, Q - y), with one kink at (P + Q) / 2.
 
-    One pass over the sorted, deduplicated candidates then sums the arrays
-    and adds player i's cost.  Set-up is O(n^2 log n), one ranking per
-    player; the rows take O(n log m) and the sweep O(m) for m candidates
-    (plus sorting them).  Ties prefer the smallest candidate value.
+    Between consecutive breakpoint indices the cost is slope * y +
+    intercept, so its minimum over a run of candidates is at the first
+    (slope >= 0, which keeps the smallest value on ties) or the last; only
+    those are evaluated.  A step is O(n (k + log m) + n log n) for m
+    candidates, with no per-candidate work.  Ties prefer the smallest
+    candidate value.
     """
-    n = len(s)
-    ys = sorted(set(candidates))
-    m = len(ys)
-    # difference arrays: each other player's term is slope * y + intercept
-    slope = [0] * (m + 1)
-    icpt = [0] * (m + 1)
+    n, m = len(s), len(ys)
+    # slope and intercept changes of the other players' terms, by index
+    dslope: dict[int, int] = defaultdict(int)
+    dicpt: dict[int, int] = defaultdict(int)
+    base = 0
     for j in range(n):
         if j == i:
             continue
         sj, zj = s[j], z[j]
-        keys = [key for key in ranked(z, j, sj, zj) if key[2] != i]
-        c_in = max([abs(zj - sj)] + [key[1] for key in keys[: k - 1]])
+        keys = [key for key in ranks[j][: k + 1] if key[2] != i]
+        c_in = abs(zj - sj)
+        for key in keys[: k - 1]:
+            if key[1] > c_in:
+                c_in = key[1]
         if k == n - 1:
             c_out = c_in
             first, stop = 0, m
@@ -146,42 +171,54 @@ def coordinate_best(
                 t = bisect_left(ys, y)
                 if t < m and ys[t] == y and (d, abs(y - zj), i) < kth:
                     delta = max(c_in, abs(y - zj)) - c_out
-                    icpt[t] += delta
-                    icpt[t + 1] -= delta
-        icpt[0] += c_out
+                    dicpt[t] += delta
+                    dicpt[t + 1] -= delta
+        base += c_out
         if first < stop:
-            p = min(max(bisect_right(ys, zj - c_in), first), stop)
-            q = min(max(bisect_left(ys, zj + c_in), p), stop)
-            for lo, hi, sl, ic in (
-                (first, p, -1, zj - c_out),  # y <= z_j - c_in: z_j - y
-                (p, q, 0, c_in - c_out),  # strictly between: c_in
-                (q, stop, 1, -zj - c_out),  # y >= z_j + c_in: y - z_j
-            ):
-                if lo < hi:
-                    slope[lo] += sl
-                    slope[hi] -= sl
-                    icpt[lo] += ic
-                    icpt[hi] -= ic
+            # pieces z_j - y (y <= z_j - c_in), c_in, y - z_j (y >= z_j + c_in),
+            # each starting where the one before it ends
+            p = bisect_right(ys, zj - c_in, first, stop)
+            q = bisect_left(ys, zj + c_in, p, stop)
+            dslope[first] -= 1
+            dicpt[first] += zj - c_out
+            dslope[p] += 1
+            dicpt[p] += c_in - zj
+            dslope[q] += 1
+            dicpt[q] -= zj + c_in
+            dslope[stop] -= 1
+            dicpt[stop] += zj + c_out
 
     si = s[i]
+    d_k = ranks[i][k - 1][0]
     others = [v for j, v in enumerate(z) if j != i]
-    d_k = sorted(abs(v - si) for v in others)[k - 1]
     inner = [v for v in others if abs(v - si) < d_k]
-    lo, hi = min(inner, default=si), max(inner, default=si)
     tied = k - len(inner)  # how many of the k sit at distance d_k
+    inner.append(si)
+    lo, hi = min(inner), max(inner)
     a, b = si - d_k, si + d_k
-    at_a, at_b = others.count(a), others.count(b)
+    # (P, Q) of i's cost on y < s_i and on y >= s_i: the tied neighbours on
+    # the far side of s_i are reached only when the near side holds fewer
+    # than `tied` of them (at y == s_i both sides cost d_k)
+    left = (lo, b) if others.count(a) < tied else (a, hi)
+    right = (a, hi) if others.count(b) < tied else (lo, b)
+    own_cuts = (
+        bisect_left(ys, si),
+        bisect_left(ys, (sum(left) + 1) // 2),  # first y >= (P + Q) / 2
+        bisect_left(ys, (sum(right) + 1) // 2),
+    )
 
+    cuts = sorted({0, m, *own_cuts, *dslope, *dicpt})
+    sl, ic = 0, base
     best_cost = -1
     best_y = 0
-    for y, sl, ic in zip(ys, accumulate(slope), accumulate(icpt)):
-        # the farthest tied neighbour: the far side is reached only when the
-        # near side holds fewer than `tied` players (y == s_i: both at d_k)
-        if y < si:
-            t = b - y if at_a < tied else abs(a - y)
-        else:
-            t = y - a if at_b < tied else abs(b - y)
-        c = max(abs(y - si), t, y - lo, hi - y) + sl * y + ic
+    for start, end in zip(cuts, cuts[1:]):
+        sl += dslope.get(start, 0)
+        ic += dicpt.get(start, 0)
+        y = ys[start]
+        low, high = left if y < si else right
+        if sl + (1 if 2 * y >= low + high else -1) < 0:
+            y = ys[end - 1]
+        c = max(y - low, high - y) + sl * y + ic
         if best_cost < 0 or c < best_cost:
             best_cost = c
             best_y = y

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -331,6 +332,7 @@ def _cmd_catalog(args) -> int:
     return 0 if all(r["match"] for r in rows) else 1
 
 
+@functools.cache  # parse_args leaves the parser as it was; in-process callers share it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kcof",

@@ -10,11 +10,12 @@ for beliefs (0, 1, 5) with k=1 the descent returns social cost 23/8, while
 moving z_3 to 17/6 gives 17/6.
 
 The cost surface is piecewise linear with jumps where neighborhoods change,
-so each coordinate move evaluates the social cost of every candidate exactly,
-in integers at the one scale of :func:`kcof._accel.scaled`:
-:func:`kcof._accel.coordinate_best` does so in one sorted sweep over the
-candidates.  The best vector's cost is re-checked with the exact
-``Fraction`` reference before it is returned.
+so each coordinate move finds the exact minimum over the candidates, in
+integers at the one scale of :func:`kcof._accel.scaled`:
+:func:`kcof._accel.coordinate_best` evaluates only the ends of the linear
+pieces, from rankings that a descent keeps up to date across its moves.
+The best vector's cost is re-checked with the exact ``Fraction`` reference
+before it is returned.
 """
 
 from __future__ import annotations
@@ -27,11 +28,21 @@ from typing import Optional, Sequence
 from . import _accel
 from .game import GameInstance, Opinions, as_opinions, social_cost
 
-__all__ = ["MAX_CANDIDATES", "OptimizerConfig", "candidate_opinions", "optimize_social_cost"]
+__all__ = [
+    "MAX_CANDIDATES",
+    "MAX_PLAYERS",
+    "OptimizerConfig",
+    "candidate_opinions",
+    "optimize_social_cost",
+]
 
 # The grid holds up to about 1.45 n^2 2^L values for n distinct beliefs and L
-# refinement levels; each descent step sweeps all of them.
+# refinement levels; it is built as Fractions, while a descent step only
+# bisects it, O(log m).
 MAX_CANDIDATES = 1 << 16
+# The time follows n: about n descents (one per distinct belief) of a few
+# sweeps of n steps, each O(n (k + log m) + n log n).
+MAX_PLAYERS = 64
 
 
 @dataclass(frozen=True)
@@ -86,19 +97,22 @@ def _descend(
 ) -> tuple[int, list[int]]:
     """Coordinate descent to a sweep-stable vector; cost never increases.
 
-    A coordinate step for i never reads z_i, so once a coordinate has moved,
-    the other n - 1 failing to improve in a row prove the vector stable (with
-    no move yet, all n must fail).  The descent stops there: a full sweep
-    more would make no move.
+    Every player is ranked once with :func:`kcof._accel.ranked`, and
+    :func:`kcof._accel.move` keeps the rankings current, so a step reads
+    them instead of ranking anew.  A coordinate step for i never reads z_i,
+    so once a coordinate has moved, the other n - 1 failing to improve in a
+    row prove the vector stable (with no move yet, all n must fail).  The
+    descent stops there: a full sweep more would make no move.
     """
     n = len(s)
+    ranks = [_accel.ranked(z, j, s[j], z[j]) for j in range(n)]
     cost = _accel.social_cost(s, z, k)
     need, fails = n, 0
     for _ in range(max_sweeps):
         for i in range(n):
-            best_cost, best_y = _accel.coordinate_best(s, z, k, i, cands)
+            best_cost, best_y = _accel.coordinate_best(s, z, k, i, cands, ranks)
             if best_cost < cost:
-                z[i] = best_y
+                _accel.move(s, z, ranks, i, best_y)
                 cost = best_cost
                 need, fails = n - 1, 0
             else:
@@ -118,8 +132,14 @@ def optimize_social_cost(
     Multi-start: the truthful vector, every caller-supplied start (catalog
     reference vectors, typically), and seeded random candidate assignments.
     Deterministic for a fixed config; ties prefer the lexicographically
-    smallest vector.
+    smallest vector.  Instances of more than :data:`MAX_PLAYERS` players
+    are refused with a ``ValueError``.
     """
+    if inst.n > MAX_PLAYERS:
+        raise ValueError(
+            f"{inst.n} players exceed the optimizer's cap of {MAX_PLAYERS}"
+            " (kcof bounds --no-opt skips the optimizer)"
+        )
     cfg = config or OptimizerConfig()
     cands = candidate_opinions(inst, cfg.candidate_grid_extra)
     extra_starts = [as_opinions(inst, st) for st in starts]

@@ -15,8 +15,9 @@ import pytest
 import kcof
 from kcof import GameInstance, load_instance, segments, write_instance
 from kcof.catalog import catalog_entry
-from kcof.cli import main
+from kcof.cli import _build_parser, main
 from kcof.instance_io import InstanceFormatError
+from kcof.optimize import MAX_PLAYERS
 
 
 @pytest.fixture
@@ -81,6 +82,23 @@ def test_unsorted_beliefs_exit_two_with_the_index(command, bad_file, capsys):
     assert err.startswith("error:")
     assert "index 0" in err
     assert "Traceback" not in err
+
+
+def test_one_parser_serves_every_call(eq_file, tmp_path, capsys):
+    parser = _build_parser()
+    with pytest.raises(SystemExit) as usage:
+        main(["solve"])  # no file: a usage error
+    assert usage.value.code == 2
+    capsys.readouterr()
+    assert main(["check", eq_file, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["pure"]["social_cost"] == "17/2"
+    quad = tmp_path / "quad.json"
+    quad.write_text(json.dumps({"k": 1, "beliefs": ["0", "9", "12", "21"]}))
+    assert main(["solve", str(quad), "--enumerate", "5"]) == 0
+    assert "enumerated 2 equilibria" in capsys.readouterr().out
+    assert main(["bounds", eq_file, "--no-opt", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["worst_pne_cost"] == "17/2"
+    assert _build_parser() is parser
 
 
 class TestCheck:
@@ -215,6 +233,19 @@ class TestOptimizeCommand:
         assert main(["optimize", str(path), "--grid-extra", "40"]) == 2
         assert time.perf_counter() - start < 1
         assert "cap" in capsys.readouterr().err
+
+
+    def test_player_cap_exits_two_and_names_no_opt(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        beliefs = [str(i) for i in range(MAX_PLAYERS + 1)]
+        path.write_text(json.dumps({"k": 2, "beliefs": beliefs}))
+        for command in (["optimize", str(path)], ["bounds", str(path)]):
+            start = time.perf_counter()
+            assert main(command) == 2
+            assert time.perf_counter() - start < 1
+            err = capsys.readouterr().err
+            assert "cap" in err and "--no-opt" in err
+        assert main(["bounds", str(path), "--no-opt"]) == 0
 
 
 class TestMixedCheck:

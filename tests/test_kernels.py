@@ -99,6 +99,19 @@ class TestTieRule:
                 assert_tie_rule(s, z, i, chosen)
 
 
+class TestKeptRankings:
+    def test_moves_keep_every_ranking_fresh(self, rng):
+        for _ in range(300):
+            s, z, _ = random_case(rng)
+            ranks = rankings(s, z)
+            for _ in range(rng.randint(1, 12)):
+                i = rng.randrange(len(s))
+                y = rng.choice(z + [rng.randint(-3, 15)])  # often onto a tie
+                accel.move(s, z, ranks, i, y)
+                assert z[i] == y
+                assert ranks == rankings(s, z), (s, z, i)
+
+
 def brute_force_best(s, z, k, i, candidates):
     """Every candidate in place, the full social cost summed; smallest y on ties."""
     work = list(z)
@@ -109,6 +122,11 @@ def brute_force_best(s, z, k, i, candidates):
         if best is None or (c, y) < best:
             best = (c, y)
     return best
+
+
+def rankings(s, z):
+    """Every player's ranking, as :func:`kcof._accel.coordinate_best` takes them."""
+    return [accel.ranked(z, j, s[j], z[j]) for j in range(len(s))]
 
 
 def many_tie_case(rng: random.Random):
@@ -172,7 +190,7 @@ class TestCoordinateBest:
         seen = Counter()
         for _ in range(2500):
             s, z, k, i, cands = many_tie_case(rng)
-            got = accel.coordinate_best(s, z, k, i, cands)
+            got = accel.coordinate_best(s, z, k, i, sorted(set(cands)), rankings(s, z))
             assert got == brute_force_best(s, z, k, i, cands), (s, z, k, i, cands)
             seen.update(name for name, hit in case_features(s, z, k, i, cands).items() if hit)
             # the integer cost is the exact social cost at scale 1/7
@@ -183,6 +201,28 @@ class TestCoordinateBest:
             assert social_cost(inst, moved) == F(cost, 7)
         assert len(seen) == 6 and min(seen.values()) >= 200, seen
 
+    def test_matches_brute_force_on_dense_grids(self):
+        # many-tie cases at 2f times the scale, with every integer of the
+        # range (or a random subset of at least 100) as a candidate: the
+        # half-integer kinks of the base scale land on candidates, and most
+        # linear pieces hold many candidates
+        rng = random.Random(0xDE6)
+        off_grid = 0
+        for _ in range(1000):
+            s, z, k, i, _ = many_tie_case(rng)
+            while len(s) > 6:  # the brute force costs O(n^2 log n) per candidate
+                s, z, k, i, _ = many_tie_case(rng)
+            f = round(4 * 17.5 ** rng.random())  # log-uniform in [4, 70]
+            s, z = [2 * f * v for v in s], [2 * f * v for v in z]
+            cands = list(range(-4 * f, 24 * f + 1))  # 113 to 1961 values
+            if rng.random() < 0.5:
+                cands = rng.sample(cands, rng.randint(100, len(cands)))
+            got = accel.coordinate_best(s, z, k, i, sorted(cands), rankings(s, z))
+            assert got == brute_force_best(s, z, k, i, cands), (s, z, k, i, f)
+            off_grid += got[1] % (2 * f) != 0
+        # the best value is often off the base scale's integers
+        assert off_grid >= 200, off_grid
+
     def test_values_near_2_80(self):
         rng = random.Random(0xB16)
         for _ in range(20):
@@ -192,6 +232,6 @@ class TestCoordinateBest:
                 [BIG * v + 1 for v in z],
                 [BIG * v + 1 for v in cands],
             )
-            assert accel.coordinate_best(s, z, k, i, cands) == brute_force_best(
-                s, z, k, i, cands
-            )
+            assert accel.coordinate_best(
+                s, z, k, i, sorted(set(cands)), rankings(s, z)
+            ) == brute_force_best(s, z, k, i, cands)

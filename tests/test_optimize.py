@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from kcof import GameInstance, _accel, opt_lower_bound_k, social_cost
 from kcof.catalog import catalog_entry
+from kcof.catalog import catalog
 from kcof.optimize import (
     MAX_CANDIDATES,
+    MAX_PLAYERS,
     OptimizerConfig,
     _descend,
     candidate_opinions,
@@ -64,6 +67,19 @@ class TestCandidates:
     def test_equal_beliefs_have_no_gap_to_refine(self):
         inst = GameInstance(k=1, beliefs=(3, 3, 3))
         assert candidate_opinions(inst, 10**9) == (3,)
+
+
+class TestPlayerCap:
+    def test_one_player_above_the_cap_is_refused_at_once(self):
+        inst = GameInstance(k=2, beliefs=tuple(range(MAX_PLAYERS + 1)))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cap"):
+            optimize_social_cost(inst)
+        assert time.perf_counter() - start < 1
+
+    def test_no_catalog_instance_is_refused(self):
+        for k in range(1, 9):
+            assert all(e.instance.n <= MAX_PLAYERS for e in catalog(k, verify=False))
 
 
 class TestKnownValues:
@@ -121,8 +137,8 @@ class TestInvariants:
     def test_exact_recheck_catches_a_kernel_that_under_reports(self, monkeypatch):
         real = _accel.coordinate_best
 
-        def under_report(s, z, k, i, candidates):
-            cost, y = real(s, z, k, i, candidates)
+        def under_report(s, z, k, i, candidates, ranks):
+            cost, y = real(s, z, k, i, candidates, ranks)
             return cost - 1, y
 
         monkeypatch.setattr(_accel, "coordinate_best", under_report)
@@ -137,7 +153,8 @@ def full_sweep_descent(s, z, k, cands, max_sweeps):
     for _ in range(max_sweeps):
         sweep_start = cost
         for i in range(len(s)):
-            best_cost, best_y = _accel.coordinate_best(s, z, k, i, cands)
+            ranks = [_accel.ranked(z, j, s[j], z[j]) for j in range(len(s))]
+            best_cost, best_y = _accel.coordinate_best(s, z, k, i, cands, ranks)
             if best_cost < cost:
                 z[i] = best_y
                 cost = best_cost
@@ -170,9 +187,9 @@ class TestDescent:
         real = _accel.coordinate_best
         seen = []  # the vector at each call
 
-        def counting(s, z, k, i, candidates):
+        def counting(s, z, k, i, candidates, ranks):
             seen.append(tuple(z))
-            return real(s, z, k, i, candidates)
+            return real(s, z, k, i, candidates, ranks)
 
         monkeypatch.setattr(_accel, "coordinate_best", counting)
         rng = random.Random(0x57A)
