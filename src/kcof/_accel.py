@@ -4,16 +4,22 @@ Everything that decides an equilibrium or a cost works on plain ints at one
 shared scale: :func:`scaled` multiplies the beliefs and opinions by the lcm
 of their denominators.  Python ints never overflow, so any scale is exact.
 
-:func:`ranked` orders a player's candidate neighbours by the tie rule, and
-:func:`span` takes the first k of them and the interval [lo, hi] spanning
-s_i and their opinions: the best reply is its midpoint, tested without
-division as 2*z_i == lo + hi, and the cost of z_i is the distance to its far
-end.  The ``Fraction`` API in :mod:`kcof.game`, the mixed checks in
-:mod:`kcof.mixed` and the kernels here all rank through :func:`span`;
-:func:`player_cost`, :func:`social_cost` and :func:`first_unstable` are
-short views of it.  The optimizer's coordinate descent keeps one
-:func:`ranked` list per player across its moves (:func:`move`), and
-:func:`coordinate_best` reads them.
+:func:`ranked` defines the neighbour tie rule: it orders all of a player's
+candidate neighbours.  A check needs only the first k + 1 of them, and those
+are the opinions nearest the belief s_i, a run of the sorted opinions around
+s_i.  So a check sorts the opinions once (:func:`sorted_view`), and
+:func:`nearest` reads that run and yields exactly the prefix of
+:func:`ranked`, in O(log n + k log k) per player (plus any opinions equal to
+the lowest of the run) instead of a sort of n - 1 keys; a differential test
+pins the two together on many-tie inputs.  :func:`span` takes the first k
+and the interval [lo, hi] spanning s_i and their opinions: the best reply is
+its midpoint, tested without division as 2*z_i == lo + hi, and the cost of
+z_i is the distance to its far end.  The ``Fraction`` API in
+:mod:`kcof.game`, the mixed checks in :mod:`kcof.mixed` and the kernels
+here all rank through :func:`span`; :func:`player_cost`,
+:func:`social_cost` and :func:`first_unstable` are short views of it.
+The optimizer's coordinate descent keeps one :func:`ranked` list per player
+across its moves (:func:`move`), and :func:`coordinate_best` reads them.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 def scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -41,16 +47,49 @@ def ranked(z: Sequence, i: int, si, ref) -> list[tuple]:
     return sorted((abs(v - si), abs(v - ref), j) for j, v in enumerate(z) if j != i)
 
 
+def sorted_view(z: Sequence[int]) -> list[tuple[int, int]]:
+    """Every (z_j, j), sorted: the players in order of opinion, ties by index."""
+    return sorted(zip(z, range(len(z))))
+
+
+def nearest(
+    view: Sequence[tuple[int, int]], i: int, si: int, ref: int, count: int
+) -> list[tuple[int, int, int]]:
+    """``ranked(z, i, si, ref)[:count]``, read from ``view = sorted_view(z)``.
+
+    The opinions nearest s_i are a run of the view around s_i: the count + 1
+    entries from the first opinion >= s_i upward and the count + 1 below it
+    (i is at most one of each).  Below s_i the distance falls as the position
+    rises, and one value's entries tie on both distances, so the run is
+    widened down to the start of its lowest value's group, whose smallest
+    indices rank first.  Sorting the run's keys merges the two sides by the
+    full key.  Two bisections and a sort of about 2 count keys, plus the
+    size of that group.
+    """
+    mid = bisect_left(view, (si,))
+    low = mid - count - 1
+    low = bisect_left(view, (view[low][0],), 0, low) if low > 0 else 0
+    keys = [(abs(v - si), abs(v - ref), j) for v, j in view[low : mid + count + 1] if j != i]
+    keys.sort()
+    return keys[:count]
+
+
 def span(
-    s: Sequence[int], z: Sequence[int], k: int, i: int, ref: int
+    s: Sequence[int],
+    z: Sequence[int],
+    k: int,
+    i: int,
+    ref: int,
+    view: Optional[Sequence[tuple[int, int]]] = None,
 ) -> tuple[list[int], bool, int, int]:
     """One ranking of player i's candidates at the integer scale.
 
     Returns the k chosen neighbours, whether the k-th and (k+1)-th are tied
     on distance to s_i, and the ends of the span of s_i and the neighbours'
-    opinions.  ``ref`` is the tie reference of :func:`ranked`.
+    opinions.  ``ref`` is the tie reference of :func:`ranked`; ``view`` is
+    ``sorted_view(z)``, made here when not given.
     """
-    order = ranked(z, i, s[i], ref)
+    order = nearest(sorted_view(z) if view is None else view, i, s[i], ref, k + 1)
     tie = len(order) > k and order[k - 1][0] == order[k][0]
     chosen = [j for _, _, j in order[:k]]
     lo = hi = s[i]
@@ -71,7 +110,12 @@ def player_cost(s: Sequence[int], z: Sequence[int], k: int, i: int) -> int:
 
 
 def social_cost(s: Sequence[int], z: Sequence[int], k: int) -> int:
-    return sum(player_cost(s, z, k, i) for i in range(len(s)))
+    view = sorted_view(z)
+    total = 0
+    for i, zi in enumerate(z):
+        _, _, lo, hi = span(s, z, k, i, zi, view)
+        total += max(zi - lo, hi - zi)
+    return total
 
 
 def first_unstable(s: Sequence[int], z: Sequence[int], k: int) -> int:
@@ -79,9 +123,10 @@ def first_unstable(s: Sequence[int], z: Sequence[int], k: int) -> int:
 
     Returns -1 when the vector is a pure Nash equilibrium.
     """
-    for i in range(len(s)):
-        _, _, lo, hi = span(s, z, k, i, z[i])
-        if 2 * z[i] != lo + hi:
+    view = sorted_view(z)
+    for i, zi in enumerate(z):
+        _, _, lo, hi = span(s, z, k, i, zi, view)
+        if 2 * zi != lo + hi:
             return i
     return -1
 

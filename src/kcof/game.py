@@ -10,12 +10,15 @@ opinions, which makes pure-equilibrium verification an exact midpoint test.
 Inputs and results are ``fractions.Fraction`` and every comparison is exact.
 Inside, a check scales the beliefs and opinions once to integers with
 :func:`kcof._accel.scaled` (exact for any size, since Python ints do not
-overflow) and ranks each player once with :func:`kcof._accel.span`, the one
-place that applies the neighbour tie rule and takes the interval spanning
-s_i and the chosen opinions.  :func:`check_pure` takes the verdict, the
-player costs, the social cost and the structure flags from that one pass, in
-O(n^2 log n) for n players.  :func:`is_pure_nash`, :func:`social_cost` and
-:func:`structure_report` are views of it.
+overflow), sorts the opinions once (:func:`kcof._accel.sorted_view`) and
+ranks each player once with :func:`kcof._accel.span`, the one place that
+applies the neighbour tie rule and takes the interval spanning s_i and the
+chosen opinions.  A ranking walks out from s_i through the sorted opinions
+and reads only the k + 1 nearest (plus any opinions equal to the lowest of
+them), so :func:`check_pure` takes the verdict, the player costs, the social
+cost and the structure flags from one pass in O(n log n + n k log k) for n
+players, not a sort of n - 1 keys per player.  :func:`is_pure_nash`,
+:func:`social_cost` and :func:`structure_report` are views of it.
 
 Distance ties when ranking neighbor candidates break toward the player's own
 opinion first and then toward the smallest index (:func:`kcof._accel.ranked`).
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from ._accel import ranked, scaled, span
+from ._accel import ranked, scaled, sorted_view, span
 from .rationals import to_fraction
 
 __all__ = [
@@ -229,10 +232,11 @@ class PureCheck:
 def check_pure(inst: GameInstance, z: Sequence) -> PureCheck:
     """Verdict, player costs, social cost and structure of z in one pass.
 
-    Each player is ranked once, at the integer scale of the beliefs and
-    opinions.  From the ranking come the chosen neighbours, the boundary-tie
-    flag, and the span [lo, hi] of s_i and their opinions: z_i is a best
-    reply exactly when 2 z_i = lo + hi, and the player's cost is
+    The opinions are sorted once, at the integer scale of the beliefs and
+    opinions, and each player is ranked once by walking out from her belief
+    through them.  From the ranking come the chosen neighbours, the
+    boundary-tie flag, and the span [lo, hi] of s_i and their opinions: z_i
+    is a best reply exactly when 2 z_i = lo + hi, and the player's cost is
     max(z_i - lo, hi - z_i).  The structure flags are
 
     - ``monotone``: z_i <= z_{i+1} wherever s_i < s_{i+1};
@@ -250,6 +254,7 @@ def check_pure(inst: GameInstance, z: Sequence) -> PureCheck:
     n, k = inst.n, inst.k
     d, ints = scaled((*inst.beliefs, *zz))
     s, zs = ints[:n], ints[n:]
+    view = sorted_view(zs)
     windows = [(min(zs[a : a + k + 1]), max(zs[a : a + k + 1])) for a in range(n - k)]
     costs = []
     violations = []
@@ -257,7 +262,7 @@ def check_pure(inst: GameInstance, z: Sequence) -> PureCheck:
     in_range = consecutive = True
     for i in range(n):
         si, zi = s[i], zs[i]
-        chosen, tie, lo, hi = span(s, zs, k, i, zi)
+        chosen, tie, lo, hi = span(s, zs, k, i, zi, view)
         tie_seen = tie_seen or tie
         cost = max(zi - lo, hi - zi)
         costs.append(cost)

@@ -2,18 +2,21 @@
 
 Players randomize independently over finite opinion supports.  Expectations
 are computed by enumerating the full product distribution exactly - no
-sampling anywhere.  :func:`check_mixed` enumerates it once: per realization
-it ranks every player once with :func:`kcof._accel.span`, at one integer
+sampling anywhere.  :func:`check_mixed` enumerates it once, at one integer
 scale for all opinions and beliefs from :func:`kcof._accel.scaled` (and each
 player's probabilities as integers over their own lcm denominator, from the
-same function), and from the spans takes every player's cost and every
+same function).  Per realization it sorts the opinions once
+(:func:`kcof._accel.sorted_view`) and ranks every player with
+:func:`kcof._accel.span`, which walks out from her belief to her k + 1
+nearest opinions; from the spans it takes every player's cost and every
 player's deviation interval.  :func:`is_mixed_nash`,
 :func:`expected_player_cost`, :func:`expected_social_cost` and
-:func:`best_deterministic_deviation` are views of that pass.  A check costs
-one ranking of n - 1 keys per player and realization, and the cap
-:data:`MAX_WORK` bounds realizations x n^2, which keeps the largest admitted
-profile to seconds rather than hours: the n^2 counts the keys and the fixed
-cost of each ranking, which dominates when n is small.
+:func:`best_deterministic_deviation` are views of that pass.  A realization
+costs O(n log n + n k log k), with at most two walks per player.  The cap
+:data:`MAX_WORK` bounds realizations x n^2, which keeps the largest
+admitted profile to seconds rather than hours.  That bound is loose for
+large n (a walk reads about 2k + 2 opinions, not n - 1), and it stays the
+admission rule so that the same profiles are admitted.
 
 A profile is a mixed Nash equilibrium when no player can lower her expected
 cost with any deterministic opinion.  Against a fixed realization of the
@@ -35,7 +38,7 @@ from itertools import product
 from math import prod
 from typing import Sequence
 
-from ._accel import scaled, span
+from ._accel import scaled, sorted_view, span
 from .game import GameInstance, _check_index
 from .rationals import to_fraction
 
@@ -53,7 +56,8 @@ __all__ = [
     "is_mixed_nash",
 ]
 
-# realizations x n^2: a check makes n rankings of n - 1 keys per realization
+# realizations x n^2 bounds a check's work: one sort and n short walks per
+# realization, and a sweep over the n beliefs for each player's deviation
 MAX_WORK = 10**7
 
 Support = tuple[tuple[Fraction, Fraction], ...]  # (opinion, probability) pairs
@@ -182,13 +186,14 @@ def check_mixed(inst: GameInstance, rz: Sequence) -> MixedCheck:
         w = 1
         for _, pr in combo:
             w *= pr
+        view = sorted_view(z)
         for i, zi in enumerate(z):
-            _, _, lo, hi = span(s, z, k, i, zi)
+            _, _, lo, hi = span(s, z, k, i, zi, view)
             totals[i] += w * max(zi - lo, hi - zi)
             op0, w0 = first[i]
             if zi == op0:
                 if ref[i] != zi:
-                    _, _, lo, hi = span(s, z, k, i, ref[i])
+                    _, _, lo, hi = span(s, z, k, i, ref[i], view)
                 spans[i][lo, hi] += w // w0
 
     costs = tuple(Fraction(t, d * q) for t in totals)

@@ -20,10 +20,15 @@ once; their ``Fraction`` values are made only when read.
 
 Assembled vectors are always re-verified before being reported, by the
 integer equilibrium test :func:`kcof._accel.first_unstable` on the graph's
-integer scale (the same tie rule as :func:`kcof.game.is_pure_nash`) - the
-graph tests use non-strict comparisons, so at exact distance ties a path may
-describe an equilibrium that only exists under a different tie rule than
-ours.  :func:`brute_force_pne_oracle` checks its candidates the same way.
+integer scale - the graph tests use non-strict comparisons, so at exact
+distance ties a path may describe an equilibrium that only exists under a
+different tie rule than ours.  That test applies the tie rule of
+:func:`kcof._accel.ranked`, as :func:`kcof.game.is_pure_nash` does: it sorts
+the vector's opinions once and walks out from each belief to the nearest
+opinion (:func:`kcof._accel.nearest`, the prefix of the full ranking), so a
+re-check costs one sort and a short walk per player, not a sort of n - 1
+keys per player.  :func:`brute_force_pne_oracle` checks its candidates the
+same way.
 
 Indices are 0-based throughout (a segment is a triple ``a <= b < c``).
 """
@@ -282,13 +287,19 @@ def _graph_for(inst: GameInstance, graph: Optional[SegmentGraph]) -> SegmentGrap
 
 
 def _reaches_end(graph: SegmentGraph) -> list[bool]:
-    # ids follow the triples, so successors (a' = c+1 > a) have larger ids
+    # ids follow the triples, so successors (a' = c+1 > a) have larger ids;
+    # segments with equal (b, c) share one successor tuple, read once
     reach = [False] * len(graph.segments)
+    shared: dict[tuple[int, int], bool] = {}
     for u in range(len(graph.segments) - 1, -1, -1):
-        if graph.segments[u].c == graph.n - 1:
+        seg = graph.segments[u]
+        if seg.c == graph.n - 1:
             reach[u] = True
-        else:
-            reach[u] = any(reach[v] for v in graph.successors[u])
+            continue
+        key = (seg.b, seg.c)
+        if key not in shared:
+            shared[key] = any(reach[v] for v in graph.successors[u])
+        reach[u] = shared[key]
     return reach
 
 
@@ -300,17 +311,26 @@ def exists_pne(inst: GameInstance, graph: Optional[SegmentGraph] = None) -> bool
 
 
 def _completion_bounds(graph: SegmentGraph, maximize: bool) -> list[Optional[int]]:
-    """Best achievable weight from each node to a sink, node weight included."""
+    """Best achievable weight from each node to a sink, node weight included.
+
+    Segments with equal (b, c) share one successor tuple, so the best
+    completion after a segment is taken once per (b, c).
+    """
     better = max if maximize else min
     comp: list[Optional[int]] = [None] * len(graph.segments)
+    shared: dict[tuple[int, int], Optional[int]] = {}
     for u in range(len(graph.segments) - 1, -1, -1):
-        w = graph.segments[u].w_int
-        if graph.segments[u].c == graph.n - 1:
-            comp[u] = w
+        seg = graph.segments[u]
+        if seg.c == graph.n - 1:
+            comp[u] = seg.w_int
             continue
-        child = [comp[v] for v in graph.successors[u] if comp[v] is not None]
-        if child:
-            comp[u] = w + better(child)
+        key = (seg.b, seg.c)
+        if key not in shared:
+            child = [comp[v] for v in graph.successors[u] if comp[v] is not None]
+            shared[key] = better(child) if child else None
+        after = shared[key]
+        if after is not None:
+            comp[u] = seg.w_int + after
     return comp
 
 

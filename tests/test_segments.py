@@ -304,3 +304,53 @@ class TestOracle:
             inst = random_instance(rng)
             for z in brute_force_pne_oracle(inst):
                 assert all(z[i] <= z[i + 1] for i in range(inst.n - 1))
+
+
+def _per_edge_reach(graph):
+    """Whether each segment reaches a sink, reading every edge."""
+    reach = [False] * len(graph.segments)
+    for u in range(len(graph.segments) - 1, -1, -1):
+        reach[u] = graph.segments[u].c == graph.n - 1 or any(
+            reach[v] for v in graph.successors[u]
+        )
+    return reach
+
+
+def _per_edge_completions(graph, maximize):
+    """The best weight from each segment to a sink, reading every edge."""
+    better = max if maximize else min
+    comp = [None] * len(graph.segments)
+    for u in range(len(graph.segments) - 1, -1, -1):
+        seg = graph.segments[u]
+        if seg.c == graph.n - 1:
+            comp[u] = seg.w_int
+            continue
+        child = [comp[v] for v in graph.successors[u] if comp[v] is not None]
+        if child:
+            comp[u] = seg.w_int + better(child)
+    return comp
+
+
+class TestSharedSuccessors:
+    """Completions taken once per (b, c) against a walk over every edge."""
+
+    def test_matches_per_edge_walks_on_tie_heavy_graphs(self):
+        rng = random.Random(0x5C5)
+        shared = dead_ends = 0
+        instances = [GameInstance(k=1, beliefs=(2,) * 14)]
+        for _ in range(300):
+            n = rng.randint(2, 11)
+            pool = [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(rng.randint(1, 4))]
+            beliefs = tuple(sorted(rng.choice(pool) for _ in range(n)))
+            instances.append(GameInstance(k=1, beliefs=beliefs))
+        for inst in instances:
+            graph = build_segment_graph(inst)
+            reach = segments._reaches_end(graph)
+            assert reach == _per_edge_reach(graph)
+            for maximize in (False, True):
+                expected = _per_edge_completions(graph, maximize)
+                assert segments._completion_bounds(graph, maximize) == expected
+            inner = [seg for seg in graph.segments if seg.c < inst.n - 1]
+            shared += len(inner) - len({(seg.b, seg.c) for seg in inner})
+            dead_ends += reach.count(False)
+        assert shared >= 1000 and dead_ends >= 100, (shared, dead_ends)
