@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import segments
 from .game import GameInstance, Opinions, check_pure, social_cost
-from .optimize import OptimizerConfig, optimize_social_cost
+from .optimize import optimize_social_cost
 from .rationals import to_fraction
 
 __all__ = [
@@ -132,44 +132,45 @@ class PoaBracket:
 
 def poa_bracket(
     inst: GameInstance,
-    opt_upper_hint: Optional[Fraction] = None,
     *,
     known_pne: Optional[Sequence] = None,
     use_optimizer: bool = True,
-    optimizer_config: Optional[OptimizerConfig] = None,
     reference_starts: Sequence[Opinions] = (),
 ) -> PoaBracket:
     """Bracket the price of anarchy from closed-form bounds plus the optimizer.
 
-    For k=1 the worst equilibrium comes from the segment solver; for k >= 2 a
-    caller-supplied equilibrium (``known_pne``, verified here) stands in, or
-    the equilibrium side is reported absent.
+    For k=1 the best and worst equilibria come from one segment graph; for
+    k >= 2 a caller-supplied equilibrium (``known_pne``, verified here)
+    stands in for both, or the equilibrium side is reported absent.  Every
+    equilibrium is a feasible vector, so the best one's cost caps the
+    optimizer's upper bound.  Without the optimizer the upper bound is the
+    truthful vector's cost.
     """
+    best_cost: Optional[Fraction] = None
     worst_cost: Optional[Fraction] = None
     if inst.k == 1:
-        found = segments.worst_pne(inst)
-        if found is not None:
-            worst_cost = found[1]
+        graph = segments.build_segment_graph(inst)
+        best = segments.best_pne(inst, graph=graph)
+        if best is not None:
+            best_cost = best[1]
+            worst_cost = segments.worst_pne(inst, graph=graph)[1]
     elif known_pne is not None:
         known = check_pure(inst, known_pne)
         if not known.verdict.is_pne:
             raise ValueError("known_pne does not pass the equilibrium check")
-        worst_cost = known.social_cost
+        best_cost = worst_cost = known.social_cost
 
     opt_lower = opt_lower_bound_k(inst)
     if inst.k == 1:
         opt_lower = max(opt_lower, opt_lower_bound_1(inst))
 
-    uppers: list[Fraction] = []
     if use_optimizer:
-        _, cost = optimize_social_cost(inst, optimizer_config, starts=reference_starts)
-        uppers.append(cost)
-    if opt_upper_hint is not None:
-        uppers.append(to_fraction(opt_upper_hint))
-    if not uppers:
+        _, opt_upper = optimize_social_cost(inst, starts=reference_starts)
+        if best_cost is not None:
+            opt_upper = min(opt_upper, best_cost)
+    else:
         # the truthful vector is always feasible
-        uppers.append(social_cost(inst, inst.beliefs))
-    opt_upper = min(uppers)
+        opt_upper = social_cost(inst, inst.beliefs)
 
     ratio_lower: Optional[Fraction] = None
     ratio_upper: Optional[Fraction] = None

@@ -27,7 +27,7 @@ from .catalog import catalog as build_catalog
 from .catalog import recompute
 from .game import GameInstance, best_response_dynamics, check_pure, is_pure_nash
 from .instance_io import load_instance, write_instance
-from .optimize import OptimizerConfig, optimize_social_cost
+from .optimize import optimize_social_cost
 from .rationals import format_rational, parse_rational
 
 _R = format_rational
@@ -258,14 +258,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_optimize(args) -> int:
     doc = load_instance(args.file)
-    cfg = OptimizerConfig(
-        candidate_grid_extra=args.grid_extra,
-        max_sweeps=args.sweeps,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
     starts = [doc.opinions] if doc.opinions is not None else []
-    z, cost = optimize_social_cost(doc.instance, cfg, starts=starts)
+    z, cost = optimize_social_cost(doc.instance, starts=starts)
     report = {"opinions": [_R(v) for v in z], "social_cost": _R(cost)}
     _emit(
         report,
@@ -361,10 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="heuristic upper bound on the optimal social cost")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--sweeps", type=int, default=200)
-    p.add_argument("--grid-extra", type=int, default=2)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_optimize)
 

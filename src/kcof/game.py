@@ -322,7 +322,6 @@ class DynamicsResult:
     opinions: Opinions
     rounds: int
     period: Optional[int] = None
-    trajectory: Optional[tuple[Opinions, ...]] = None
 
 
 _STATE_WINDOW = 10_000  # bounded memory for cycle detection and tried patterns
@@ -362,15 +361,11 @@ def _solve_pattern(
 
 
 def best_response_dynamics(
-    inst: GameInstance,
-    z0: Sequence,
-    schedule: Optional[Sequence[int]] = None,
-    max_rounds: int = 1_000,
-    record_trajectory: bool = False,
+    inst: GameInstance, z0: Sequence, max_rounds: int = 1_000
 ) -> DynamicsResult:
     """Round-robin best-response updates that end on a verified equilibrium.
 
-    Each round replaces every opinion (in schedule order, in place) by the
+    Each round replaces every opinion (in index order, in place) by the
     player's best response.  Exact updates only approach most equilibria in
     the limit, so after each round the run also solves the round's interval
     pattern exactly: which point (s_i or a neighbor's opinion) attained the
@@ -382,9 +377,7 @@ def best_response_dynamics(
     or a pattern's solution passes :func:`is_pure_nash`; a singular system
     or a rejected solution is ignored.  Otherwise it returns ``"cycle"`` when
     an earlier full-round state repeats exactly, and ``"exhausted"`` after
-    ``max_rounds`` rounds; see :class:`DynamicsResult`.  With
-    ``record_trajectory`` the trajectory holds the start and the state after
-    each round, plus the solved vector when the run ends on a pattern solve.
+    ``max_rounds`` rounds; see :class:`DynamicsResult`.
 
     The state is kept as integers over one shared denominator (which doubles
     only when a midpoint is odd), so long runs stay fast; Fractions are
@@ -392,9 +385,6 @@ def best_response_dynamics(
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    order = list(range(inst.n)) if schedule is None else list(schedule)
-    if sorted(order) != list(range(inst.n)):
-        raise ValueError("schedule must be a permutation of all players")
     start = as_opinions(inst, z0)
 
     n, k = inst.n, inst.k
@@ -413,22 +403,13 @@ def best_response_dynamics(
             h.update(blob)
         return h.digest()
 
-    def result(outcome: str, opinions: Opinions, rounds: int, period=None) -> DynamicsResult:
-        if record_trajectory and trajectory[-1] != opinions:
-            trajectory.append(opinions)
-        return DynamicsResult(
-            outcome, opinions, rounds, period=period,
-            trajectory=tuple(trajectory) if record_trajectory else None,
-        )
-
-    trajectory = [snapshot()] if record_trajectory else None
     seen: dict[bytes, int] = {state_key(): 0}
     tried: set[tuple[tuple[int, int], ...]] = set()
     pattern: list[tuple[int, int]] = [(-1, -1)] * n
 
     for rounds in range(1, max_rounds + 1):
         changed = False
-        for i in order:
+        for i in range(n):
             si, zi = s[i], z[i]
             # interval ends and their owners; ties keep the belief (-1)
             lo = hi = si
@@ -461,8 +442,6 @@ def best_response_dynamics(
             shift += 1
             if shift > 64:
                 break
-        if record_trajectory:
-            trajectory.append(snapshot())
         frozen = tuple(pattern)
         if not changed:
             candidate = snapshot()
@@ -473,10 +452,10 @@ def best_response_dynamics(
         else:
             candidate = None
         if candidate is not None and is_pure_nash(inst, candidate).is_pne:
-            return result("converged", candidate, rounds)
+            return DynamicsResult("converged", candidate, rounds)
         key = state_key()
         if key in seen:
-            return result("cycle", snapshot(), rounds, period=rounds - seen[key])
+            return DynamicsResult("cycle", snapshot(), rounds, period=rounds - seen[key])
         if len(seen) < _STATE_WINDOW:
             seen[key] = rounds
-    return result("exhausted", snapshot(), max_rounds)
+    return DynamicsResult("exhausted", snapshot(), max_rounds)

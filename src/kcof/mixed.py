@@ -22,11 +22,10 @@ A profile is a mixed Nash equilibrium when no player can lower her expected
 cost with any deterministic opinion.  Against a fixed realization of the
 others, the deviator's cost is the distance to the farthest point of an
 interval spanning her belief and her neighbors' opinions, so her expected
-deviation cost is a convex piecewise-linear function of the deviation; its
-minimum sits at a kink, and every kink is the midpoint of one realization's
-interval.  Those midpoints (plus the player's own support and the beliefs,
-as a belt-and-braces probe) are evaluated exactly, in one sweep over them in
-increasing order.
+deviation cost is a convex piecewise-linear function of the deviation,
+and every kink is the midpoint of one realization's interval.  It tends to
++infinity on both sides, so its smallest minimizer is a kink.  The kinks
+alone are evaluated exactly, in one sweep over them in increasing order.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ __all__ = [
 ]
 
 # realizations x n^2 bounds a check's work: one sort and n short walks per
-# realization, and a sweep over the n beliefs for each player's deviation
+# realization, and a sweep over each player's kinks for her deviation
 MAX_WORK = 10**7
 
 Support = tuple[tuple[Fraction, Fraction], ...]  # (opinion, probability) pairs
@@ -98,23 +97,22 @@ def _mean_opinion(support: Support) -> Fraction:
     return sum((op * pr for op, pr in support), Fraction(0))
 
 
-def _best_deviation(spans: dict[tuple[int, int], int], extra: set[int]) -> tuple[int, int]:
+def _best_deviation(spans: dict[tuple[int, int], int]) -> tuple[int, int]:
     """Smallest minimizer of g(y) = sum of w * max(y - 2 lo, 2 hi - y), and g there.
 
     ``spans`` maps each deviation interval [lo, hi] to its weight; y runs
-    over ``extra`` plus every lo + hi, all in doubled units.  An interval
-    whose kink lo + hi is at most y contributes w * (y - 2 lo), the others
-    w * (2 hi - y); the sweep moves the intervals from the second sum to
-    the first in order of their kinks.
+    over every kink lo + hi, in doubled units.  An interval whose kink is at
+    most y contributes w * (y - 2 lo), the others w * (2 hi - y); the sweep
+    moves the intervals from the second sum to the first in order of their
+    kinks.
     """
     kinks = sorted((lo + hi, lo, hi, w) for (lo, hi), w in spans.items())
-    probes = sorted(extra | {c for c, _, _, _ in kinks})
     w_left = lo_left = 0
     w_right = sum(w for *_, w in kinks)
     hi_right = sum(2 * hi * w for _, _, hi, w in kinks)
     best_y = best = None
     p = 0
-    for y in probes:
+    for y, _, _, _ in kinks:
         while p < len(kinks) and kinks[p][0] <= y:
             _, lo, hi, w = kinks[p]
             w_left += w
@@ -199,8 +197,8 @@ def check_mixed(inst: GameInstance, rz: Sequence) -> MixedCheck:
     costs = tuple(Fraction(t, d * q) for t in totals)
     deviations = []
     violations = []
-    for i, sup in enumerate(int_supports):
-        y, g = _best_deviation(spans[i], {2 * op for op, _ in sup} | {2 * v for v in s})
+    for i in range(n):
+        y, g = _best_deviation(spans[i])
         y_star, deviated = Fraction(y, 2 * d), Fraction(g, 2 * d * (q // qs[i]))
         deviations.append((y_star, deviated))
         if deviated < costs[i]:

@@ -4,7 +4,7 @@ No component of this package computes the exact optimum (its complexity is
 open); instead, coordinate descent over a structured candidate grid produces
 a feasible opinion vector whose exact social cost upper-bounds the optimum.
 The grid contains every belief, all pairwise belief midpoints, and both
-third-points of every belief pair, optionally refined by inserting midpoints
+third-points of every belief pair, refined twice by inserting midpoints
 between adjacent candidates.  The best coordinate step is often off the grid:
 for beliefs (0, 1, 5) with k=1 the descent returns social cost 23/8, while
 moving z_3 to 17/6 gives 17/6.
@@ -21,54 +21,32 @@ before it is returned.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import _accel
 from .game import GameInstance, Opinions, as_opinions, social_cost
 
 __all__ = [
-    "MAX_CANDIDATES",
     "MAX_PLAYERS",
-    "OptimizerConfig",
     "candidate_opinions",
     "optimize_social_cost",
 ]
 
-# The grid holds up to about 1.45 n^2 2^L values for n distinct beliefs and L
-# refinement levels; it is built as Fractions, while a descent step only
-# bisects it, O(log m).
-MAX_CANDIDATES = 1 << 16
 # The time follows n: about n descents (one per distinct belief) of a few
-# sweeps of n steps, each O(n (k + log m) + n log n).
+# sweeps of n steps, each O(n (k + log m) + n log n).  The grid of m values
+# grows with n too: m <= 4 (n + 3 n (n - 1) / 2) - 3, 24,445 at this cap.
 MAX_PLAYERS = 64
+_GRID_LEVELS = 2  # refinement levels of the candidate grid
+_RESTARTS = 8  # random starts, drawn from random.Random(0)
+_MAX_SWEEPS = 200
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    candidate_grid_extra: int = 2  # refinement levels
-    max_sweeps: int = 200
-    restarts: int = 8
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.candidate_grid_extra < 0:
-            raise ValueError("candidate_grid_extra must be >= 0")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
-        if self.restarts < 0:
-            raise ValueError("restarts must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-
-
-def candidate_opinions(inst: GameInstance, extra_levels: int = 2) -> tuple[Fraction, ...]:
-    """Beliefs, pairwise midpoints, third-points, plus refinement midpoints.
+def candidate_opinions(inst: GameInstance) -> tuple[Fraction, ...]:
+    """Beliefs, pairwise midpoints and third-points, refined twice.
 
     A refinement level puts a midpoint into every gap, so m values become
-    2m - 1.  The size is worked out from the unrefined grid, and a grid of
-    more than :data:`MAX_CANDIDATES` values is refused before it is refined.
+    2m - 1.
     """
     distinct = sorted(set(inst.beliefs))
     cands = set(distinct)
@@ -78,14 +56,7 @@ def candidate_opinions(inst: GameInstance, extra_levels: int = 2) -> tuple[Fract
                 cands.add((x + y) / 2)
                 cands.add((2 * x + y) / 3)
                 cands.add((x + 2 * y) / 3)
-    levels = extra_levels if len(cands) > 1 else 0  # one value has no gap
-    size = ((len(cands) - 1) << min(levels, MAX_CANDIDATES.bit_length())) + 1
-    if size > MAX_CANDIDATES:
-        raise ValueError(
-            f"{len(distinct)} distinct beliefs with {extra_levels} refinement levels"
-            f" need more than {MAX_CANDIDATES} candidate opinions, the optimizer's cap"
-        )
-    for _ in range(levels):
+    for _ in range(_GRID_LEVELS):
         ordered = sorted(cands)
         for u, v in zip(ordered, ordered[1:]):
             cands.add((u + v) / 2)
@@ -123,25 +94,22 @@ def _descend(
 
 
 def optimize_social_cost(
-    inst: GameInstance,
-    config: Optional[OptimizerConfig] = None,
-    starts: Sequence[Sequence] = (),
+    inst: GameInstance, starts: Sequence[Sequence] = ()
 ) -> tuple[Opinions, Fraction]:
     """Best feasible vector found; its exact social cost bounds the optimum.
 
     Multi-start: the truthful vector, every caller-supplied start (catalog
     reference vectors, typically), and seeded random candidate assignments.
-    Deterministic for a fixed config; ties prefer the lexicographically
-    smallest vector.  Instances of more than :data:`MAX_PLAYERS` players
-    are refused with a ``ValueError``.
+    Deterministic; ties prefer the lexicographically smallest vector.
+    Instances of more than :data:`MAX_PLAYERS` players are refused with a
+    ``ValueError``.
     """
     if inst.n > MAX_PLAYERS:
         raise ValueError(
             f"{inst.n} players exceed the optimizer's cap of {MAX_PLAYERS}"
             " (kcof bounds --no-opt skips the optimizer)"
         )
-    cfg = config or OptimizerConfig()
-    cands = candidate_opinions(inst, cfg.candidate_grid_extra)
+    cands = candidate_opinions(inst)
     extra_starts = [as_opinions(inst, st) for st in starts]
 
     n, m = inst.n, len(cands)
@@ -157,12 +125,12 @@ def optimize_social_cost(
         start_vectors.append([b] * n)
     for t in range(n + m, len(ints), n):
         start_vectors.append(ints[t : t + n])
-    rng = random.Random(cfg.seed)
-    for _ in range(cfg.restarts):
+    rng = random.Random(0)
+    for _ in range(_RESTARTS):
         start_vectors.append([rng.choice(cand_int) for _ in range(n)])
 
     descents = (
-        _descend(s_int, list(z0), inst.k, cand_int, cfg.max_sweeps) for z0 in start_vectors
+        _descend(s_int, list(z0), inst.k, cand_int, _MAX_SWEEPS) for z0 in start_vectors
     )
     cost_int, z_int = min((cost, tuple(z)) for cost, z in descents)
     opinions = tuple(Fraction(v, denom) for v in z_int)

@@ -33,7 +33,6 @@ from kcof import (
     worst_pne,
 )
 from kcof.catalog import PNE, catalog, catalog_entry
-from kcof.optimize import OptimizerConfig
 from tests.conftest import random_instance
 
 RANDOM_SUITE_SEED = 0x5EED
@@ -229,14 +228,13 @@ def test_criterion_10_oracle_equivalence(random_suite):
 
 def test_criterion_11_bound_invariants(random_suite):
     suite, _ = random_suite
-    light = OptimizerConfig(candidate_grid_extra=0, max_sweeps=50, restarts=1, seed=1)
     ok_lower = ok_caps = ok_ratio = True
     for inst, _, solved in suite:
         if not solved:
             continue
         lower_k = opt_lower_bound_k(inst)
         lower_1 = opt_lower_bound_1(inst)
-        _, upper = optimize_social_cost(inst, light)
+        _, upper = optimize_social_cost(inst)
         for z in solved:
             sc = social_cost(inst, z)
             ok_lower &= sc >= lower_k and sc >= lower_1

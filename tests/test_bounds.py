@@ -9,6 +9,7 @@ import pytest
 
 from kcof import (
     GameInstance,
+    best_pne,
     eta,
     opt_lower_bound_1,
     opt_lower_bound_k,
@@ -21,7 +22,6 @@ from kcof import (
     star_window,
 )
 from kcof.catalog import catalog_entry
-from kcof.optimize import OptimizerConfig
 from tests.conftest import random_instance
 
 
@@ -228,7 +228,19 @@ class TestPoaBracket:
         assert bracket.opt_upper == social_cost(inst, inst.beliefs)
         assert bracket.opt_lower <= bracket.opt_upper
 
-    def test_hint_caps_the_upper_bound(self):
-        inst = GameInstance(k=1, beliefs=(0, 9, 12, 21))
-        bracket = poa_bracket(inst, opt_upper_hint=F(7), use_optimizer=False)
-        assert bracket.opt_upper == 7
+    def test_best_equilibrium_caps_the_upper_bound(self):
+        # every PNE is feasible, so OPT <= the best PNE's cost <= the worst's
+        rng = random.Random(0xB0B)
+        with_pne = 0
+        for _ in range(40):
+            n = rng.randint(3, 7)
+            inst = GameInstance(k=1, beliefs=tuple(sorted(F(rng.randint(0, 30)) for _ in range(n))))
+            bracket = poa_bracket(inst)
+            best = best_pne(inst)
+            if best is None:
+                assert bracket.worst_pne_cost is None and bracket.ratio_lower is None
+                continue
+            with_pne += 1
+            assert bracket.opt_upper <= best[1], inst
+            assert bracket.ratio_lower >= 1, inst
+        assert with_pne >= 25, with_pne

@@ -226,13 +226,14 @@ class TestOptimizeCommand:
         report = json.loads(capsys.readouterr().out)
         assert F(report["social_cost"]) <= 1
 
-    def test_grid_cap_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--seed", "--restarts", "--sweeps", "--grid-extra"])
+    def test_optimizer_settings_are_not_flags(self, flag, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"k": 1, "beliefs": ["0", "9", "12", "21"]}))
-        start = time.perf_counter()
-        assert main(["optimize", str(path), "--grid-extra", "40"]) == 2
-        assert time.perf_counter() - start < 1
-        assert "cap" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as usage:
+            main(["optimize", str(path), flag, "2"])
+        assert usage.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
     def test_player_cap_exits_two_and_names_no_opt(self, tmp_path, capsys):

@@ -216,23 +216,6 @@ class TestDynamics:
         result = best_response_dynamics(inst, inst.beliefs, max_rounds=2000)
         assert result.outcome in ("cycle", "exhausted")
 
-    def test_trajectory_recording(self, triple):
-        result = best_response_dynamics(
-            triple, triple.beliefs, max_rounds=50, record_trajectory=True
-        )
-        assert result.trajectory is not None
-        assert result.trajectory[0] == triple.beliefs
-        assert result.trajectory[-1] == result.opinions
-
-    def test_schedule_must_be_permutation(self, triple):
-        with pytest.raises(ValueError):
-            best_response_dynamics(triple, triple.beliefs, schedule=[0, 0, 1])
-
-    def test_custom_schedule(self, triple):
-        result = best_response_dynamics(triple, triple.beliefs, schedule=[2, 1, 0], max_rounds=500)
-        assert result.outcome == "converged"
-        assert is_pure_nash(triple, result.opinions).is_pne
-
     @pytest.mark.parametrize("name, k", [("poa_blocks", 2), ("pos_star", 4)])
     def test_k_at_least_2_reaches_an_equilibrium(self, name, k):
         inst = catalog_entry(name, k=k).instance

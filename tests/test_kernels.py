@@ -118,7 +118,7 @@ def brute_force_best(s, z, k, i, candidates):
     best = None
     for y in candidates:
         work[i] = y
-        c = sum(accel.player_cost(s, work, k, j) for j in range(len(s)))
+        c = accel.social_cost(s, work, k)
         if best is None or (c, y) < best:
             best = (c, y)
     return best

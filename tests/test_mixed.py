@@ -21,6 +21,7 @@ from kcof import (
     is_pure_nash,
     player_cost,
 )
+from kcof import mixed
 from kcof.catalog import PNE, catalog, catalog_entry
 
 
@@ -236,6 +237,53 @@ class TestWorkCap:
         inst, rz = self._profile((100, 100, 41, 1, 1))
         with pytest.raises(ValueError, match="cap"):
             as_randomized(inst, rz)
+
+
+def probed_best_deviation(spans, extra):
+    """The deviation sweep over the kinks plus extra probe points, all in
+    doubled units; smallest minimizer on ties."""
+    kinks = sorted((lo + hi, lo, hi, w) for (lo, hi), w in spans.items())
+    probes = sorted(extra | {c for c, _, _, _ in kinks})
+    w_left = lo_left = 0
+    w_right = sum(w for *_, w in kinks)
+    hi_right = sum(2 * hi * w for _, _, hi, w in kinks)
+    best_y = best = None
+    p = 0
+    for y in probes:
+        while p < len(kinks) and kinks[p][0] <= y:
+            _, lo, hi, w = kinks[p]
+            w_left += w
+            lo_left += 2 * lo * w
+            w_right -= w
+            hi_right -= 2 * hi * w
+            p += 1
+        g = w_left * y - lo_left + hi_right - w_right * y
+        if best is None or g < best:
+            best_y, best = y, g
+    return best_y, best
+
+
+class TestBestDeviationSweep:
+    def test_kinks_alone_match_the_probed_sweep_on_many_ties(self):
+        # small integers, so that kinks coincide, intervals have zero width
+        # and g is often flat at its minimum, where a probe could tie
+        rng = random.Random(0xDE7)
+        flat = 0
+        for _ in range(5000):
+            spans = {}
+            for _ in range(rng.randint(1, 6)):
+                lo = rng.randint(-4, 4)
+                spans[lo, lo + rng.randint(0, 3)] = rng.randint(1, 3)
+            extra = {2 * rng.randint(-8, 8) for _ in range(rng.randint(0, 8))}
+            y, g = probed_best_deviation(spans, extra)
+            assert mixed._best_deviation(spans) == (y, g), (spans, extra)
+            kinks = {lo + hi for lo, hi in spans}
+            flat += any(
+                v not in kinks
+                and sum(w * max(v - 2 * lo, 2 * hi - v) for (lo, hi), w in spans.items()) == g
+                for v in extra
+            )
+        assert flat >= 250, flat
 
 
 def _brute_mixed(inst, rz):

@@ -12,61 +12,49 @@ from kcof import GameInstance, _accel, opt_lower_bound_k, social_cost
 from kcof.catalog import catalog_entry
 from kcof.catalog import catalog
 from kcof.optimize import (
-    MAX_CANDIDATES,
     MAX_PLAYERS,
-    OptimizerConfig,
     _descend,
     candidate_opinions,
     optimize_social_cost,
 )
 
 
-class TestConfig:
-    def test_defaults(self):
-        cfg = OptimizerConfig()
-        assert (cfg.candidate_grid_extra, cfg.max_sweeps, cfg.restarts, cfg.seed) == (2, 200, 8, 0)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"candidate_grid_extra": -1},
-            {"max_sweeps": 0},
-            {"restarts": -2},
-            {"seed": -1},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            OptimizerConfig(**kwargs)
+def unrefined_grid(beliefs):
+    """Beliefs, pairwise midpoints and both third-points of every pair."""
+    values = set(beliefs)
+    for x in beliefs:
+        for y in beliefs:
+            values |= {(x + y) / 2, (2 * x + y) / 3}
+    return sorted(values)
 
 
 class TestCandidates:
     def test_grid_contains_beliefs_midpoints_thirds(self):
         inst = GameInstance(k=1, beliefs=(0, 9, 12, 21))
-        cands = set(candidate_opinions(inst, 0))
+        cands = set(candidate_opinions(inst))
         assert {F(0), F(9), F(12), F(21)} <= cands
         assert F(9, 2) in cands  # midpoint of 0 and 9
         assert F(3) in cands and F(6) in cands  # third-points of 0 and 9
 
     def test_refinement_adds_adjacent_midpoints(self):
-        inst = GameInstance(k=1, beliefs=(0, 4))
-        level0 = candidate_opinions(inst, 0)
-        level1 = set(candidate_opinions(inst, 1))
-        for u, v in zip(level0, level0[1:]):
-            assert (u + v) / 2 in level1
-
-
-    def test_grid_above_the_cap_is_refused(self):
-        inst = GameInstance(k=1, beliefs=(0, 9, 12, 21))
-        size = len(candidate_opinions(inst, 0))  # 22 values
-        levels = (MAX_CANDIDATES // (size - 1)).bit_length() - 1
-        assert len(candidate_opinions(inst, levels)) == ((size - 1) << levels) + 1
-        with pytest.raises(ValueError, match="cap"):
-            candidate_opinions(inst, levels + 1)
+        # two levels split every gap of the unrefined grid into four equal parts
+        for beliefs in [(0, 4), (0, 9, 12, 21), (F(1, 3), 1, 1, F(7, 2))]:
+            inst = GameInstance(k=1, beliefs=tuple(F(b) for b in beliefs))
+            level0 = unrefined_grid(inst.beliefs)
+            expected = {u + t * (v - u) / 4 for u, v in zip(level0, level0[1:]) for t in range(4)}
+            assert candidate_opinions(inst) == tuple(sorted(expected | {level0[-1]}))
 
     def test_equal_beliefs_have_no_gap_to_refine(self):
         inst = GameInstance(k=1, beliefs=(3, 3, 3))
-        assert candidate_opinions(inst, 10**9) == (3,)
+        assert candidate_opinions(inst) == (3,)
+
+    def test_grid_at_the_player_cap_stays_below_2_16(self):
+        # distinct generic beliefs give the largest grid: 64 + 3 * C(64, 2) =
+        # 6,112 values before refinement, 4 * 6,112 - 3 after
+        beliefs = sorted(random.Random(64).sample(range(10**12), MAX_PLAYERS))
+        inst = GameInstance(k=1, beliefs=tuple(F(b) for b in beliefs))
+        size = len(candidate_opinions(inst))
+        assert size == 24_445 and size <= 1 << 16
 
 
 class TestPlayerCap:
@@ -131,8 +119,7 @@ class TestInvariants:
 
     def test_deterministic_given_seed(self):
         inst = GameInstance(k=2, beliefs=(0, 1, 1, 2))
-        cfg = OptimizerConfig(seed=123)
-        assert optimize_social_cost(inst, cfg) == optimize_social_cost(inst, cfg)
+        assert optimize_social_cost(inst) == optimize_social_cost(inst)
 
     def test_exact_recheck_catches_a_kernel_that_under_reports(self, monkeypatch):
         real = _accel.coordinate_best
@@ -144,7 +131,7 @@ class TestInvariants:
         monkeypatch.setattr(_accel, "coordinate_best", under_report)
         inst = GameInstance(k=1, beliefs=(0, 9, 12, 21))
         with pytest.raises(AssertionError, match="bookkeeping mismatch"):
-            optimize_social_cost(inst, OptimizerConfig(restarts=0, max_sweeps=3))
+            optimize_social_cost(inst)
 
 
 def full_sweep_descent(s, z, k, cands, max_sweeps):
