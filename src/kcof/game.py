@@ -24,13 +24,25 @@ Distance ties when ranking neighbor candidates break toward the player's own
 opinion first and then toward the smallest index (:func:`kcof._accel.ranked`).
 The ``tie_seen`` diagnostic on verdicts reports when such a boundary tie
 occurred, i.e. when the verdict could depend on the tie rule at all.
+
+:func:`best_response_dynamics` runs rounds of best replies in integers and
+ends on a verified equilibrium, a repeated state or the round cap.  Many
+runs without an equilibrium settle within a few rounds into a cycle of at
+most four interval patterns whose state shrinks toward a limit cycle by one
+exact ratio per period.  Such a run is proved to stay in the cycle for good:
+every comparison a round makes is linear along the segment from the next
+period to the limit, and a certificate checks that each has the same
+outcome at both ends.  The rounds left are then skipped by a closed form,
+and the result is exactly the one that running them gives.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from ._accel import ranked, scaled, sorted_view, span
@@ -316,6 +328,10 @@ class DynamicsResult:
       state.
     - ``"exhausted"``: ``max_rounds`` rounds ran without either; ``opinions``
       is the last state.  This does not show that no equilibrium exists.
+      When the run was proved to settle into a shrinking cycle (see
+      :func:`best_response_dynamics`), the rounds after the proof are not
+      run: ``opinions`` comes from a closed form and is exactly the state
+      that running them reaches.
     """
 
     outcome: str  # "converged" | "cycle" | "exhausted"
@@ -325,6 +341,9 @@ class DynamicsResult:
 
 
 _STATE_WINDOW = 10_000  # bounded memory for cycle detection and tried patterns
+_MAX_PERIOD = 4  # longest period of interval patterns tested for a shrinking cycle
+
+_State = tuple[int, Sequence[int]]  # (denominator, opinions times it)
 
 
 def _solve_pattern(
@@ -333,31 +352,235 @@ def _solve_pattern(
     """Exact solution of z_i = (lo_i + hi_i) / 2 for every player i.
 
     ``pattern[i]`` names the points at the low and high ends of player i's
-    interval: a player index j for z_j, or -1 for the belief s_i.  Gaussian
-    elimination over Fractions; returns None when the system is singular.
+    interval: a player index j for z_j, or -1 for the belief s_i.  The system
+    2 z_i - (those points) = (those beliefs) is solved at the beliefs' lcm
+    scale by fraction-free (Bareiss) elimination over ints: every division
+    inside is exact, and back-substitution yields det * z in integers, so
+    each unknown is divided once, at the end.  Each row has 2 on the
+    diagonal and at most 2 off it in absolute value; elimination keeps that
+    weak diagonal dominance, so a zero pivot comes with a zero row, and no
+    row swaps are needed.  Returns None exactly when the system is singular.
     """
     n = inst.n
+    scale, s = scaled(inst.beliefs)
     rows = []
     for i, ends in enumerate(pattern):
-        row = [Fraction(0)] * (n + 1)
-        row[i] = Fraction(2)
+        row = [0] * (n + 1)
+        row[i] = 2
         for j in ends:
             if j < 0:
-                row[n] += inst.beliefs[i]
+                row[n] += s[i]
             else:
                 row[j] -= 1
         rows.append(row)
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
         head = rows[col]
-        for r in range(n):
-            factor = rows[r][col] / head[col] if r != col else 0
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], head)]
-    return tuple(rows[i][n] / rows[i][i] for i in range(n))
+        h = head[col]
+        if not h:
+            return None
+        for r in range(col + 1, n):
+            f = rows[r][col]
+            rows[r] = [(h * a - f * b) // prev for a, b in zip(rows[r], head)]
+        prev = h
+    det = prev
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        y[i] = (det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+    return tuple(Fraction(v, det * scale) for v in y)
+
+
+def _interval(z: Sequence[int], si: int, order: Sequence[tuple], k: int):
+    """(lo, hi, (lo_at, hi_at)): the span of s_i and the opinions of the first
+    k players of ``order``, and who attains its ends (-1 for s_i; ties keep
+    the belief, then the earlier player)."""
+    lo = hi = si
+    lo_at = hi_at = -1
+    for _, _, j in order[:k]:
+        v = z[j]
+        if v < lo:
+            lo, lo_at = v, j
+        elif v > hi:
+            hi, hi_at = v, j
+    return lo, hi, (lo_at, hi_at)
+
+
+def _set_midpoint(s: list[int], z: list[int], i: int, total: int):
+    """Set z_i = total / 2; an odd total doubles the scale of s and z first.
+
+    Returns (s, z, doubled).
+    """
+    if total % 2 == 0:
+        z[i] = total // 2
+        return s, z, False
+    s = [2 * v for v in s]
+    z = [2 * v for v in z]
+    z[i] = total
+    return s, z, True
+
+
+def _ratio(new: _State, mid: _State, old: _State) -> Optional[tuple[int, int]]:
+    """(a, b) in lowest terms with new - mid = (a/b) (mid - old) != 0 and 0 < a < b.
+
+    The differences are put on one integer scale and compared coordinate by
+    coordinate by cross-multiplication, which stops at the first mismatch.
+    """
+    scale = lcm(new[0], mid[0], old[0])
+    fn, fm, fo = scale // new[0], scale // mid[0], scale // old[0]
+    a = b = 0
+    for u, v, w in zip(new[1], mid[1], old[1]):
+        d, e = u * fn - v * fm, v * fm - w * fo
+        if b:
+            if d * b != a * e:
+                return None
+        elif e:
+            a, b = (d, e) if e > 0 else (-d, -e)
+            if not 0 < a < b:
+                return None
+        elif d:
+            return None
+    if not b:
+        return None
+    g = gcd(a, b)
+    return a // g, b // g
+
+
+def _signs(s: Sequence[int], z: Sequence[int], i: int, chosen: Sequence[int]) -> list[int]:
+    """Signs of z_j - s_i and z_j - z_i (every j) and z_j - z_l (j, l chosen)."""
+    si, zi = s[i], z[i]
+    return (
+        [(v > si) - (v < si) for v in z]
+        + [(v > zi) - (v < zi) for v in z]
+        + [(z[j] > z[l]) - (z[j] < z[l]) for j in chosen for l in chosen]
+    )
+
+
+def _agree(k: int, first: tuple, second: tuple, i: int, owners: tuple[int, int]) -> bool:
+    """Whether player i's update has the given owners everywhere between two states.
+
+    ``first`` and ``second`` are (s, z) at one integer scale each.  Player
+    i's full ranking must order the other players alike at both, the owners
+    at ``first`` must be ``owners``, and z_j - s_i, z_j - z_i (every j) and
+    z_j - z_l (j, l among the k chosen) must each have the same sign (-, 0
+    or +) at both.  Each of these is linear between the states, so then it
+    keeps its sign in between, every absolute value in a ranking key is
+    linear there, and two keys in the same order at both ends are in that
+    order throughout: every comparison of the update has one outcome.
+    """
+    (sa, za), (sb, zb) = first, second
+    order = ranked(za, i, sa[i], za[i])
+    if [j for _, _, j in order] != [j for _, _, j in ranked(zb, i, sb[i], zb[i])]:
+        return False
+    chosen = [j for _, _, j in order[:k]]
+    return (
+        _interval(za, sa[i], order, k)[2] == owners
+        and _signs(sa, za, i, chosen) == _signs(sb, zb, i, chosen)
+    )
+
+
+def _certify(
+    inst: GameInstance, ends: tuple[_State, _State], patterns: Sequence[Sequence[tuple[int, int]]]
+) -> bool:
+    """Whether the patterns repeat at every state on the segment between two ends.
+
+    Both ends run one period with the patterns forced, and every update
+    must pass :func:`_agree` between them.
+    """
+    runs = []
+    for denom, z in ends:
+        runs.append(([b.numerator * (denom // b.denominator) for b in inst.beliefs], list(z)))
+    for pattern in patterns:
+        for i, owners in enumerate(pattern):
+            if not _agree(inst.k, runs[0], runs[1], i, owners):
+                return False
+            for t, (s, z) in enumerate(runs):
+                total = sum(z[j] if j >= 0 else s[i] for j in owners)
+                s, z, _ = _set_midpoint(s, z, i, total)
+                runs[t] = (s, z)
+    return True
+
+
+class _CycleWatch:
+    """Proves, after a round, that a run has settled into a shrinking cycle.
+
+    For a period p, when the last two periods used the same patterns and
+    d = x_r - x_{r-p} = lambda (x_{r-p} - x_{r-2p}) with d != 0 and
+    0 < lambda < 1, d is an eigenvector of the affine map of one period:
+    while the patterns repeat, x_{r+jp} = x_r + d lambda (1 - lambda^j) /
+    (1 - lambda).  :func:`_certify` proves that they repeat for good, from
+    the next period to the limit x_r + d lambda / (1 - lambda).
+
+    The work is bounded.  A round costs a comparison of its pattern with
+    the one p rounds back, for each p.  While the patterns repeat, each
+    phase's d is the one-period linear map applied to the d before it; after
+    n periods it has lost any component that the map sends to 0, so if it is
+    no eigenvector by then, it never becomes one.  So a run of repeating
+    patterns gets p (n + 1) ratio tests, and a (p, patterns) whose
+    certificate failed is not certified again.
+    """
+
+    def __init__(self, inst: GameInstance, denom: int, z: Sequence[int]) -> None:
+        self.inst = inst
+        self.history: deque = deque([(denom, tuple(z), None)], maxlen=2 * _MAX_PERIOD + 1)
+        self.streak = [0] * (_MAX_PERIOD + 1)  # rounds repeating the pattern p rounds back
+        self.tests = [0] * (_MAX_PERIOD + 1)  # ratio tests left in that streak
+        self.refused: set = set()
+
+    def skip(
+        self, denom: int, z: Sequence[int], pattern: tuple, left: int
+    ) -> Optional[Opinions]:
+        """Record a round; the state ``left`` rounds on once a cycle is proved."""
+        history, streak, tests = self.history, self.streak, self.tests
+        history.append((denom, tuple(z), pattern))
+        for p in range(1, _MAX_PERIOD + 1):
+            if len(history) <= p or pattern != history[-1 - p][2]:
+                streak[p] = 0
+                tests[p] = p * (self.inst.n + 1)
+                continue
+            streak[p] += 1
+            if streak[p] < p or not tests[p]:
+                continue
+            tests[p] -= 1
+            mid, old = history[-1 - p], history[-1 - 2 * p]
+            rate = _ratio(history[-1][:2], mid[:2], old[:2])
+            if rate is None:
+                continue
+            key = (p, tuple(history[m][2] for m in range(-p, 0)))
+            last = None if key in self.refused else self._certified(key[1], mid, rate, left)
+            if last is not None:
+                return last
+            tests[p] = 0
+            if len(self.refused) < _STATE_WINDOW:
+                self.refused.add(key)
+        return None
+
+    def _certified(
+        self, patterns: tuple, mid: tuple, rate: tuple[int, int], left: int
+    ) -> Optional[Opinions]:
+        """The state ``left`` rounds on if the certificate holds, else None."""
+        beliefs = self.inst.beliefs
+        denom, z, _ = self.history[-1]
+        a, b = rate
+        scale = lcm(denom, mid[0])
+        f, g = scale // denom, scale // mid[0]
+        step = [u * f - v * g for u, v in zip(z, mid[1])]  # d, at scale
+        limit = (scale * (b - a), [u * f * (b - a) + a * e for u, e in zip(z, step)])
+        if not _certify(self.inst, ((denom, z), limit), patterns):
+            return None
+        p = len(patterns)
+        periods, q = divmod(left, p)
+        bj = b**periods
+        c = a * (bj - a**periods) // (b - a)  # b^j (lambda + ... + lambda^j)
+        denom = scale * bj
+        s = [v.numerator * (denom // v.denominator) for v in beliefs]
+        z = [u * f * bj + c * e for u, e in zip(z, step)]
+        for pattern in patterns[:q]:
+            for i, owners in enumerate(pattern):
+                total = sum(z[j] if j >= 0 else s[i] for j in owners)
+                s, z, doubled = _set_midpoint(s, z, i, total)
+                denom *= 2 if doubled else 1
+        return tuple(Fraction(v, denom) for v in z)
 
 
 def best_response_dynamics(
@@ -378,6 +601,27 @@ def best_response_dynamics(
     or a rejected solution is ignored.  Otherwise it returns ``"cycle"`` when
     an earlier full-round state repeats exactly, and ``"exhausted"`` after
     ``max_rounds`` rounds; see :class:`DynamicsResult`.
+
+    Many runs without an equilibrium settle into a cycle of p rounds whose
+    patterns repeat while the state shrinks toward a limit cycle by one
+    exact ratio lambda per period.  After each round the run tests every
+    period p <= 4: the last two periods used the same patterns and
+    x_r - x_{r-p} = lambda (x_{r-p} - x_{r-2p}) != 0 with 0 < lambda < 1.
+    Then, while the patterns repeat, the state just before each player's
+    update moves along a segment, from its value in the next period to its
+    limit.  The certificate checks, at both ends of each of the p n
+    segments, that the ranking, the interval's owners and the signs of all
+    the differences they compare agree (see :func:`_certify`).  Each of
+    those differences is linear along the segment, so every comparison a
+    round makes keeps its outcome: the patterns repeat for good.  Every
+    round then moves the state; no state repeats, since a repeat would make
+    the distinct states x_{r+jp} periodic; and every later pattern has been
+    solved and rejected already.  So the run would end ``"exhausted"``
+    after ``max_rounds``, and it returns that at once, with the state from
+    the closed form x_r + d lambda (1 - lambda^j) / (1 - lambda) followed by
+    the remaining q < p rounds of the patterns.  Each (p, patterns) is
+    certified at most once; a run without a certificate goes on round by
+    round.
 
     The state is kept as integers over one shared denominator (which doubles
     only when a midpoint is odd), so long runs stay fast; Fractions are
@@ -405,34 +649,21 @@ def best_response_dynamics(
 
     seen: dict[bytes, int] = {state_key(): 0}
     tried: set[tuple[tuple[int, int], ...]] = set()
+    watch = _CycleWatch(inst, denom, z)
     pattern: list[tuple[int, int]] = [(-1, -1)] * n
 
     for rounds in range(1, max_rounds + 1):
         changed = False
         for i in range(n):
             si, zi = s[i], z[i]
-            # interval ends and their owners; ties keep the belief (-1)
-            lo = hi = si
-            lo_at = hi_at = -1
-            for _, _, j in ranked(z, i, si, zi)[:k]:
-                v = z[j]
-                if v < lo:
-                    lo, lo_at = v, j
-                elif v > hi:
-                    hi, hi_at = v, j
-            pattern[i] = (lo_at, hi_at)
+            lo, hi, pattern[i] = _interval(z, si, ranked(z, i, si, zi), k)
             total = lo + hi
             if total == 2 * zi:
                 continue
             changed = True
-            if total % 2 == 0:
-                z[i] = total // 2
-            else:
-                # odd midpoint: double the shared denominator
-                s = [2 * v for v in s]
-                z = [2 * v for v in z]
+            s, z, doubled = _set_midpoint(s, z, i, total)
+            if doubled:
                 denom *= 2
-                z[i] = total
         # renormalize the shared scale so equal states hash equally
         shift = 0
         while denom % 2 == 0 and all(v % 2 == 0 for v in z) and all(v % 2 == 0 for v in s):
@@ -458,4 +689,8 @@ def best_response_dynamics(
             return DynamicsResult("cycle", snapshot(), rounds, period=rounds - seen[key])
         if len(seen) < _STATE_WINDOW:
             seen[key] = rounds
+        if rounds < max_rounds:
+            last = watch.skip(denom, z, frozen, max_rounds - rounds)
+            if last is not None:
+                return DynamicsResult("exhausted", last, max_rounds)
     return DynamicsResult("exhausted", snapshot(), max_rounds)

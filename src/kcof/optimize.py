@@ -9,9 +9,11 @@ between adjacent candidates.  The best coordinate step is often off the grid:
 for beliefs (0, 1, 5) with k=1 the descent returns social cost 23/8, while
 moving z_3 to 17/6 gives 17/6.
 
-The cost surface is piecewise linear with jumps where neighborhoods change,
-so each coordinate move finds the exact minimum over the candidates, in
-integers at the one scale of :func:`kcof._accel.scaled`:
+The grid is built in integers, at 24 times the beliefs' lcm denominator,
+where every grid value is an integer.  The cost surface is piecewise linear
+with jumps where neighborhoods change, so each coordinate move finds the
+exact minimum over the candidates, in integers on that scale (times any
+start's denominators):
 :func:`kcof._accel.coordinate_best` evaluates only the ends of the linear
 pieces, from rankings that a descent keeps up to date across its moves.
 The best vector's cost is re-checked with the exact ``Fraction`` reference
@@ -42,25 +44,34 @@ _RESTARTS = 8  # random starts, drawn from random.Random(0)
 _MAX_SWEEPS = 200
 
 
+def _grid(inst: GameInstance) -> tuple[int, list[int]]:
+    """The candidate grid in integers: (scale, sorted distinct values times it).
+
+    The scale is 24 times the beliefs' lcm denominator: beliefs are then
+    multiples of 24, their midpoints of 12 and their third-points of 8, and
+    each of the two refinement levels halves a multiple of 4, then of 2.
+    """
+    scale, s = _accel.scaled(inst.beliefs)
+    distinct = sorted({24 * v for v in s})
+    cands = set(distinct)
+    for a, x in enumerate(distinct):
+        for y in distinct[a + 1 :]:
+            cands.update(((x + y) // 2, (2 * x + y) // 3, (x + 2 * y) // 3))
+    for _ in range(_GRID_LEVELS):
+        ordered = sorted(cands)
+        cands.update((u + v) // 2 for u, v in zip(ordered, ordered[1:]))
+    return 24 * scale, sorted(cands)
+
+
 def candidate_opinions(inst: GameInstance) -> tuple[Fraction, ...]:
     """Beliefs, pairwise midpoints and third-points, refined twice.
 
     A refinement level puts a midpoint into every gap, so m values become
-    2m - 1.
+    2m - 1.  The grid is built in integers (:func:`_grid`); this is its
+    ``Fraction`` view.
     """
-    distinct = sorted(set(inst.beliefs))
-    cands = set(distinct)
-    for x in distinct:
-        for y in distinct:
-            if x < y:
-                cands.add((x + y) / 2)
-                cands.add((2 * x + y) / 3)
-                cands.add((x + 2 * y) / 3)
-    for _ in range(_GRID_LEVELS):
-        ordered = sorted(cands)
-        for u, v in zip(ordered, ordered[1:]):
-            cands.add((u + v) / 2)
-    return tuple(sorted(cands))
+    scale, grid = _grid(inst)
+    return tuple(Fraction(v, scale) for v in grid)
 
 
 def _descend(
@@ -109,21 +120,23 @@ def optimize_social_cost(
             f"{inst.n} players exceed the optimizer's cap of {MAX_PLAYERS}"
             " (kcof bounds --no-opt skips the optimizer)"
         )
-    cands = candidate_opinions(inst)
+    scale, grid = _grid(inst)
     extra_starts = [as_opinions(inst, st) for st in starts]
 
-    n, m = inst.n, len(cands)
+    n = inst.n
+    # 1/scale brings the grid onto the one scale of the beliefs and starts
     denom, ints = _accel.scaled(
-        (*inst.beliefs, *cands, *(v for st in extra_starts for v in st))
+        (Fraction(1, scale), *inst.beliefs, *(v for st in extra_starts for v in st))
     )
-    s_int, cand_int = ints[:n], ints[n : n + m]
+    cand_int = [c * ints[0] for c in grid]
+    s_int = ints[1 : n + 1]
 
     start_vectors: list[list[int]] = [s_int]
     # herding starts: single-coordinate descent cannot merge a spread-out
     # vector onto one point, so seed one uniform start per distinct belief
     for b in sorted(set(s_int)):
         start_vectors.append([b] * n)
-    for t in range(n + m, len(ints), n):
+    for t in range(n + 1, len(ints), n):
         start_vectors.append(ints[t : t + n])
     rng = random.Random(0)
     for _ in range(_RESTARTS):
