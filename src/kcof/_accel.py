@@ -5,27 +5,25 @@ shared scale: :func:`scaled` multiplies the beliefs and opinions by the lcm
 of their denominators.  Python ints never overflow, so any scale is exact.
 
 :func:`ranked` defines the neighbour tie rule: it orders all of a player's
-candidate neighbours.  A check needs only the first k + 1 of them, and those
-are the opinions nearest the belief s_i, a run of the sorted opinions around
-s_i.  So a check sorts the opinions once (:func:`sorted_view`), and
-:func:`nearest` reads that run and yields exactly the prefix of
-:func:`ranked`, in O(log n + k log k) per player (plus any opinions equal to
-the lowest of the run) instead of a sort of n - 1 keys; a differential test
-pins the two together on many-tie inputs.  :func:`span` takes the first k
-and the interval [lo, hi] spanning s_i and their opinions: the best reply is
-its midpoint, tested without division as 2*z_i == lo + hi, and the cost of
-z_i is the distance to its far end.  The ``Fraction`` API in
-:mod:`kcof.game`, the mixed checks in :mod:`kcof.mixed` and the kernels
-here all rank through :func:`span`; :func:`player_cost`,
-:func:`social_cost` and :func:`first_unstable` are short views of it.
-The optimizer's coordinate descent keeps one :func:`ranked` list per player
-across its moves (:func:`move`), and :func:`coordinate_best` reads them.
+candidate neighbours.  A check needs only the first k + 1, the opinions
+nearest the belief s_i, so it sorts the opinions once (:func:`sorted_view`)
+and :func:`nearest` reads the run around s_i, which yields exactly the
+prefix of :func:`ranked` in O(log n + k log k) per player (plus any
+opinions equal to the lowest of the run); a differential test pins the two
+together on many-tie inputs.  :func:`span` takes the first k and the
+interval [lo, hi] spanning s_i and their opinions: the best reply is its
+midpoint, tested without division as 2*z_i == lo + hi, and the cost of z_i
+is the distance to its far end.  The ``Fraction`` API in :mod:`kcof.game`,
+the mixed checks in :mod:`kcof.mixed` and the kernels here all rank through
+:func:`span`; :func:`social_cost` and :func:`first_unstable` are short
+views of it.  The optimizer's descent keeps one :func:`ranked` list per
+player across its moves (:func:`move`); :func:`coordinate_best` reads their
+first k + 1 keys in place and sorts one step's breakpoints once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
@@ -102,13 +100,6 @@ def span(
     return chosen, tie, lo, hi
 
 
-def player_cost(s: Sequence[int], z: Sequence[int], k: int, i: int) -> int:
-    """Max distance from z_i to the player's belief and chosen neighbors."""
-    zi = z[i]
-    _, _, lo, hi = span(s, z, k, i, zi)
-    return max(zi - lo, hi - zi)
-
-
 def social_cost(s: Sequence[int], z: Sequence[int], k: int) -> int:
     view = sorted_view(z)
     total = 0
@@ -164,107 +155,106 @@ def coordinate_best(
     of the candidate index is linear between breakpoints:
 
     * Every other player j keeps its order of the players other than i and
-      j: its first k + 1 keys skipping i give the k-th key (d_j, e_j, l),
-      j's cost c_in when i is chosen (belief and the first k - 1, without
-      the distance to z_i) and c_out when i is not (belief and the first k).
-      For a candidate y, j chooses i exactly when (|y - s_j|, |y - z_j|, i)
-      is below the k-th key; when k = n - 1 there is no k-th key and i is
-      always chosen.
-    * So j adds c_out everywhere, plus max(c_in, |y - z_j|) - c_out wherever
-      it chooses i.  On the open interval (s_j - d_j, s_j + d_j) that is at
-      most three linear pieces, split at z_j - c_in and z_j + c_in, and the
-      two ends s_j - d_j and s_j + d_j are points where the tie decides.
-      Each piece end, found by bisection, changes the slope and intercept.
-    * Player i's own order by distance to s_i does not depend on y.
-      Neighbours nearer than the k-th distance d_k are always chosen, and
-      only their lowest and highest opinion matter.  The rest of the k are
-      tied at d_k, so they sit at s_i - d_k or s_i + d_k, and the tie
-      toward y decides whether the farther of the two values is reached.
-      Every term of that cost has slope +-1, so on y < s_i and on y >= s_i
-      it is max(y - P, Q - y), with one kink at (P + Q) / 2.
+      j.  Its first k + 1 keys, read in place with i's skipped, give the
+      k-th key (d_j, e_j, l), j's cost c_in when i is chosen (belief and the
+      first k - 1, without the distance to z_i) and c_out when i is not.
+      j chooses i at y exactly when (|y - s_j|, |y - z_j|, i) is below the
+      k-th key (always when k = n - 1).  So j adds c_out everywhere, plus
+      max(c_in, |y - z_j|) - c_out on (s_j - d_j, s_j + d_j): at most three
+      linear pieces, split at z_j -+ c_in and found by bisection; the tie
+      decides at the ends s_j -+ d_j themselves.
+    * Player i's own order by distance to s_i does not depend on y.  One
+      pass over z finds the lowest and highest opinion strictly nearer than
+      the k-th distance d_k (always chosen) and how many sit at s_i - d_k
+      and at s_i + d_k, tied at d_k, where the tie toward y decides whether
+      the farther value is reached.  On y < s_i and on y >= s_i that cost is
+      max(y - P, Q - y), with one kink at (P + Q) / 2.
 
-    Between consecutive breakpoint indices the cost is slope * y +
-    intercept, so its minimum over a run of candidates is at the first
-    (slope >= 0, which keeps the smallest value on ties) or the last; only
-    those are evaluated.  A step is O(n (k + log m) + n log n) for m
-    candidates, with no per-candidate work.  Ties prefer the smallest
+    Each breakpoint is an (index, slope change, intercept change) event;
+    the events are sorted once.  Between consecutive event indices the cost
+    is slope * y + intercept, so its minimum over that run of candidates is
+    at the first (slope >= 0, which keeps the smallest value on ties) or the
+    last; only those are evaluated.  A step is O(n (k + log m) + n log n)
+    for m candidates, with no per-candidate work.  Ties prefer the smallest
     candidate value.
     """
     n, m = len(s), len(ys)
-    # slope and intercept changes of the other players' terms, by index
-    dslope: dict[int, int] = defaultdict(int)
-    dicpt: dict[int, int] = defaultdict(int)
+    events = []
     base = 0
     for j in range(n):
         if j == i:
             continue
         sj, zj = s[j], z[j]
-        keys = [key for key in ranks[j][: k + 1] if key[2] != i]
-        c_in = abs(zj - sj)
-        for key in keys[: k - 1]:
-            if key[1] > c_in:
+        row = ranks[j]
+        # c_in over j's first k - 1 keys other than i; row[t] is the k-th one
+        c_in, t = abs(zj - sj), k - 1
+        for key in row[: k - 1]:
+            if key[2] == i:
+                t = k
+            elif key[1] > c_in:
                 c_in = key[1]
-        if k == n - 1:
+        if t == k:
+            c_in = max(c_in, row[k - 1][1])
+        elif row[t][2] == i:
+            t = k
+        if t == n - 1:
             c_out = c_in
             first, stop = 0, m
         else:
-            kth = keys[k - 1]
+            kth = row[t]
             d = kth[0]
             c_out = max(c_in, kth[1])
             first, stop = bisect_right(ys, sj - d), bisect_left(ys, sj + d)
-            for y in (sj - d, sj + d) if d else (sj,):
-                t = bisect_left(ys, y)
-                if t < m and ys[t] == y and (d, abs(y - zj), i) < kth:
-                    delta = max(c_in, abs(y - zj)) - c_out
-                    dicpt[t] += delta
-                    dicpt[t + 1] -= delta
+            # s_j - d and s_j + d, when candidates, sit at first - 1 and stop
+            for u in (first - 1, stop) if d else (first - 1,):
+                if 0 <= u < m and abs(ys[u] - sj) == d and (d, abs(ys[u] - zj), i) < kth:
+                    delta = max(c_in, abs(ys[u] - zj)) - c_out
+                    events += ((u, 0, delta), (u + 1, 0, -delta))
         base += c_out
         if first < stop:
             # pieces z_j - y (y <= z_j - c_in), c_in, y - z_j (y >= z_j + c_in),
             # each starting where the one before it ends
             p = bisect_right(ys, zj - c_in, first, stop)
             q = bisect_left(ys, zj + c_in, p, stop)
-            dslope[first] -= 1
-            dicpt[first] += zj - c_out
-            dslope[p] += 1
-            dicpt[p] += c_in - zj
-            dslope[q] += 1
-            dicpt[q] -= zj + c_in
-            dslope[stop] -= 1
-            dicpt[stop] += zj + c_out
+            events += ((first, -1, zj - c_out), (p, 1, c_in - zj), (q, 1, -zj - c_in))
+            events.append((stop, -1, zj + c_out))
 
     si = s[i]
     d_k = ranks[i][k - 1][0]
-    others = [v for j, v in enumerate(z) if j != i]
-    inner = [v for v in others if abs(v - si) < d_k]
-    tied = k - len(inner)  # how many of the k sit at distance d_k
-    inner.append(si)
-    lo, hi = min(inner), max(inner)
     a, b = si - d_k, si + d_k
-    # (P, Q) of i's cost on y < s_i and on y >= s_i: the tied neighbours on
-    # the far side of s_i are reached only when the near side holds fewer
-    # than `tied` of them (at y == s_i both sides cost d_k)
-    left = (lo, b) if others.count(a) < tied else (a, hi)
-    right = (a, hi) if others.count(b) < tied else (lo, b)
-    own_cuts = (
-        bisect_left(ys, si),
-        bisect_left(ys, (sum(left) + 1) // 2),  # first y >= (P + Q) / 2
-        bisect_left(ys, (sum(right) + 1) // 2),
-    )
+    lo = hi = si
+    inner = at_a = at_b = 0
+    for v in z[:i] + z[i + 1 :]:
+        if a < v < b:
+            inner += 1
+            lo, hi = min(lo, v), max(hi, v)
+        elif v == a:
+            at_a += 1
+        elif v == b:
+            at_b += 1
+    # (P, Q) of i's cost on y < s_i and on y >= s_i: the k - inner tied
+    # neighbours at distance d_k reach the far side of s_i only when the near
+    # side holds fewer than k - inner of them (at y == s_i both cost d_k)
+    left = (lo, b) if at_a < k - inner else (a, hi)
+    right = (a, hi) if at_b < k - inner else (lo, b)
+    cuts = (si, (sum(left) + 1) // 2, (sum(right) + 1) // 2)  # s_i; first y >= (P + Q) / 2
+    events += [(bisect_left(ys, y), 0, 0) for y in cuts] + [(m, 0, 0)]
+    events.sort()
 
-    cuts = sorted({0, m, *own_cuts, *dslope, *dicpt})
-    sl, ic = 0, base
-    best_cost = -1
-    best_y = 0
-    for start, end in zip(cuts, cuts[1:]):
-        sl += dslope.get(start, 0)
-        ic += dicpt.get(start, 0)
-        y = ys[start]
-        low, high = left if y < si else right
-        if sl + (1 if 2 * y >= low + high else -1) < 0:
-            y = ys[end - 1]
-        c = max(y - low, high - y) + sl * y + ic
-        if best_cost < 0 or c < best_cost:
-            best_cost = c
-            best_y = y
+    sl, ic, start = 0, base, 0
+    best_cost, best_y = -1, 0
+    for end, ds, di in events:
+        if end > start:
+            y = ys[start]
+            low, high = left if y < si else right
+            if sl + (1 if 2 * y >= low + high else -1) < 0:
+                y = ys[end - 1]
+            c = max(y - low, high - y) + sl * y + ic
+            if best_cost < 0 or c < best_cost:
+                best_cost, best_y = c, y
+            if end == m:
+                break
+            start = end
+        sl += ds
+        ic += di
     return best_cost, best_y

@@ -66,6 +66,7 @@ __all__ = [
     "is_pure_nash",
     "check_pure",
     "best_response_dynamics",
+    "MAX_ROUNDS",
     "structure_report",
 ]
 
@@ -340,6 +341,7 @@ class DynamicsResult:
     period: Optional[int] = None
 
 
+MAX_ROUNDS = 1_000_000  # a skip still builds the state after all max_rounds rounds
 _STATE_WINDOW = 10_000  # bounded memory for cycle detection and tried patterns
 _MAX_PERIOD = 4  # longest period of interval patterns tested for a shrinking cycle
 
@@ -600,7 +602,7 @@ def best_response_dynamics(
     or a pattern's solution passes :func:`is_pure_nash`; a singular system
     or a rejected solution is ignored.  Otherwise it returns ``"cycle"`` when
     an earlier full-round state repeats exactly, and ``"exhausted"`` after
-    ``max_rounds`` rounds; see :class:`DynamicsResult`.
+    ``max_rounds`` rounds, at most :data:`MAX_ROUNDS`; see :class:`DynamicsResult`.
 
     Many runs without an equilibrium settle into a cycle of p rounds whose
     patterns repeat while the state shrinks toward a limit cycle by one
@@ -627,8 +629,8 @@ def best_response_dynamics(
     only when a midpoint is odd), so long runs stay fast; Fractions are
     reconstructed on demand.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
+    if not 1 <= max_rounds <= MAX_ROUNDS:
+        raise ValueError(f"max_rounds {max_rounds} is outside 1 to {MAX_ROUNDS}, the dynamics cap")
     start = as_opinions(inst, z0)
 
     n, k = inst.n, inst.k

@@ -3,21 +3,20 @@
 No component of this package computes the exact optimum (its complexity is
 open); instead, coordinate descent over a structured candidate grid produces
 a feasible opinion vector whose exact social cost upper-bounds the optimum.
-The grid contains every belief, all pairwise belief midpoints, and both
+The grid holds every belief, all pairwise belief midpoints and both
 third-points of every belief pair, refined twice by inserting midpoints
-between adjacent candidates.  The best coordinate step is often off the grid:
-for beliefs (0, 1, 5) with k=1 the descent returns social cost 23/8, while
-moving z_3 to 17/6 gives 17/6.
+between adjacent candidates, in integers at 24 times the beliefs' lcm
+denominator.  The best coordinate step is often off the grid: for beliefs
+(0, 1, 5) with k=1 the descent returns social cost 23/8, while moving z_3
+to 17/6 gives 17/6.
 
-The grid is built in integers, at 24 times the beliefs' lcm denominator,
-where every grid value is an integer.  The cost surface is piecewise linear
-with jumps where neighborhoods change, so each coordinate move finds the
-exact minimum over the candidates, in integers on that scale (times any
-start's denominators):
-:func:`kcof._accel.coordinate_best` evaluates only the ends of the linear
-pieces, from rankings that a descent keeps up to date across its moves.
-The best vector's cost is re-checked with the exact ``Fraction`` reference
-before it is returned.
+A step finds the exact best candidate for one coordinate in integers:
+:func:`kcof._accel.coordinate_best` sorts the breakpoints of the piecewise
+linear cost once and evaluates only the ends of its linear runs, from
+rankings that the descent keeps across its moves.  A descent stops on a
+vector where every step fails, and the later descents of the same call
+stop as soon as they reach such a vector.  The best vector's cost is
+re-checked with the exact ``Fraction`` reference before it is returned.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ def candidate_opinions(inst: GameInstance) -> tuple[Fraction, ...]:
 
 
 def _descend(
-    s: list[int], z: list[int], k: int, cands: list[int], max_sweeps: int
+    s: list[int], z: list[int], k: int, cands: list[int], max_sweeps: int, stable: set | None = None
 ) -> tuple[int, list[int]]:
     """Coordinate descent to a sweep-stable vector; cost never increases.
 
@@ -84,11 +83,16 @@ def _descend(
     them instead of ranking anew.  A coordinate step for i never reads z_i,
     so once a coordinate has moved, the other n - 1 failing to improve in a
     row prove the vector stable (with no move yet, all n must fail).  The
-    descent stops there: a full sweep more would make no move.
+    descent stops there and adds the vector to ``stable``, which the
+    descents of one game and grid share.  One that starts at or moves onto
+    a vector in it returns at once, as its failing steps would have.
     """
+    stable = set() if stable is None else stable
     n = len(s)
-    ranks = [_accel.ranked(z, j, s[j], z[j]) for j in range(n)]
     cost = _accel.social_cost(s, z, k)
+    if tuple(z) in stable:
+        return cost, z
+    ranks = [_accel.ranked(z, j, s[j], z[j]) for j in range(n)]
     need, fails = n, 0
     for _ in range(max_sweeps):
         for i in range(n):
@@ -96,10 +100,13 @@ def _descend(
             if best_cost < cost:
                 _accel.move(s, z, ranks, i, best_y)
                 cost = best_cost
+                if tuple(z) in stable:
+                    return cost, z
                 need, fails = n - 1, 0
             else:
                 fails += 1
                 if fails == need:
+                    stable.add(tuple(z))
                     return cost, z
     return cost, z
 
@@ -142,8 +149,9 @@ def optimize_social_cost(
     for _ in range(_RESTARTS):
         start_vectors.append([rng.choice(cand_int) for _ in range(n)])
 
+    stable: set = set()
     descents = (
-        _descend(s_int, list(z0), inst.k, cand_int, _MAX_SWEEPS) for z0 in start_vectors
+        _descend(s_int, list(z0), inst.k, cand_int, _MAX_SWEEPS, stable) for z0 in start_vectors
     )
     cost_int, z_int = min((cost, tuple(z)) for cost, z in descents)
     opinions = tuple(Fraction(v, denom) for v in z_int)

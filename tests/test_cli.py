@@ -198,6 +198,13 @@ class TestSolve:
         assert report["dynamics_outcome"] == "converged"
         assert report["pne"] is True
 
+    def test_rounds_above_the_dynamics_cap_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "gadget.json"
+        write_instance(path, catalog_entry("no_pne_gadget", k=8).instance)
+        assert main(["solve", str(path), "--rounds", "1000001"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "1000000, the dynamics cap" in err
+
 
 class TestBounds:
     def test_chain_report(self, tmp_path, capsys):

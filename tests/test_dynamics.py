@@ -196,6 +196,16 @@ class TestSkipShrinkingCycles:
         before = best_response_dynamics(inst, inst.beliefs, 99_997).opinions
         assert got.opinions == best_response_dynamics(inst, before, 3).opinions
 
+    def test_rounds_above_the_cap_are_refused(self):
+        # a skip builds the state after all max_rounds rounds, whose
+        # denominators grow by 2 bits a round on this gadget
+        inst = gadget(8)
+        got = best_response_dynamics(inst, inst.beliefs, game.MAX_ROUNDS)
+        assert got.outcome == "exhausted" and got.rounds == game.MAX_ROUNDS == 1_000_000
+        for rounds in (game.MAX_ROUNDS + 1, 0):
+            with pytest.raises(ValueError, match=f"1 to {game.MAX_ROUNDS}, the dynamics cap"):
+                best_response_dynamics(inst, inst.beliefs, rounds)
+
 
 def at(*z):
     """(s, z) with player 0's belief at 0 and the opinions z."""

@@ -27,7 +27,8 @@ def assert_matches_reference(s, z, k):
     zf = tuple(F(v) for v in z)
     assert accel.social_cost(s, z, k) == social_cost(inst, zf)
     for i in range(len(s)):
-        assert accel.player_cost(s, z, k, i) == player_cost(inst, zf, i)
+        _, _, lo, hi = accel.span(s, z, k, i, z[i])
+        assert max(z[i] - lo, hi - z[i]) == player_cost(inst, zf, i)
     assert (accel.first_unstable(s, z, k) == -1) == is_pure_nash(inst, zf).is_pne
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import kcof.optimize as optimize
 from kcof import GameInstance, _accel, opt_lower_bound_k, social_cost
 from kcof.catalog import catalog_entry
 from kcof.catalog import catalog
@@ -200,3 +201,33 @@ class TestDescent:
             assert _descend(s, list(result), k, cands, 200) == (cost, result)
             assert len(seen) == n
         assert moved >= 300, moved
+
+
+class TestSharedStableVectors:
+    def test_same_result_as_descents_run_to_their_own_end(self, monkeypatch):
+        real = optimize._descend
+        hits = 0  # descents that started at or moved onto a known stable vector
+
+        def alone(s, z, k, cands, max_sweeps, stable):
+            return real(s, z, k, cands, max_sweeps)
+
+        def shared(s, z, k, cands, max_sweeps, stable):
+            nonlocal hits
+            known = set(stable)
+            own_end = real(s, list(z), k, cands, max_sweeps)
+            cost, result = real(s, z, k, cands, max_sweeps, stable)
+            assert (cost, result) == own_end, (s, k, cands)
+            hits += tuple(result) in known
+            return cost, result
+
+        rng = random.Random(0x57B)
+        for _ in range(150):
+            n = rng.randint(2, 8)
+            k = rng.randint(1, n - 1)
+            inst = GameInstance(k=k, beliefs=tuple(sorted(rng.randint(0, 6) for _ in range(n))))
+            starts = [[rng.randint(0, 6) for _ in range(n)] for _ in range(rng.randrange(3))]
+            monkeypatch.setattr(optimize, "_descend", alone)
+            expected = optimize_social_cost(inst, starts)
+            monkeypatch.setattr(optimize, "_descend", shared)
+            assert optimize_social_cost(inst, starts) == expected, (inst, starts)
+        assert hits >= 300, hits
