@@ -61,7 +61,7 @@ from .mixed import (
     expected_social_cost,
     is_mixed_nash,
 )
-from .optimize import candidate_opinions, optimize_social_cost
+from .optimize import optimize_social_cost
 from .segments import (
     Segment,
     SegmentGraph,

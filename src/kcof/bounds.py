@@ -142,9 +142,9 @@ def poa_bracket(
     For k=1 the best and worst equilibria come from one segment graph; for
     k >= 2 a caller-supplied equilibrium (``known_pne``, verified here)
     stands in for both, or the equilibrium side is reported absent.  Every
-    equilibrium is a feasible vector, so the best one's cost caps the
-    optimizer's upper bound.  Without the optimizer the upper bound is the
-    truthful vector's cost.
+    equilibrium is a feasible vector, so the best one's cost caps the upper
+    bound: the optimizer's result or, without the optimizer, the truthful
+    vector's cost.
     """
     best_cost: Optional[Fraction] = None
     worst_cost: Optional[Fraction] = None
@@ -166,11 +166,11 @@ def poa_bracket(
 
     if use_optimizer:
         _, opt_upper = optimize_social_cost(inst, starts=reference_starts)
-        if best_cost is not None:
-            opt_upper = min(opt_upper, best_cost)
     else:
         # the truthful vector is always feasible
         opt_upper = social_cost(inst, inst.beliefs)
+    if best_cost is not None:
+        opt_upper = min(opt_upper, best_cost)
 
     ratio_lower: Optional[Fraction] = None
     ratio_upper: Optional[Fraction] = None

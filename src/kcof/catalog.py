@@ -371,16 +371,13 @@ def catalog_entry(
     k: int,
     lam: Fraction = Fraction(1, 2),
     eps: Fraction = Fraction(1, 8),
-    verify: bool = True,
 ) -> CatalogEntry:
-    """Build a single entry by name (see :func:`catalog` for applicability)."""
+    """Build a single entry by name and verify it (see :func:`catalog` for applicability)."""
     entries = {e.name: e for e in catalog(k, lam, eps, verify=False)}
     if name not in entries:
         raise KeyError(f"catalog entry {name!r} is not applicable to k={k}")
-    entry = entries[name]
-    if verify:
-        verify_entry(entry)
-    return entry
+    verify_entry(entries[name])
+    return entries[name]
 
 
 def catalog(

@@ -30,7 +30,6 @@ from .game import GameInstance, Opinions, as_opinions, social_cost
 
 __all__ = [
     "MAX_PLAYERS",
-    "candidate_opinions",
     "optimize_social_cost",
 ]
 
@@ -48,7 +47,8 @@ def _grid(inst: GameInstance) -> tuple[int, list[int]]:
 
     The scale is 24 times the beliefs' lcm denominator: beliefs are then
     multiples of 24, their midpoints of 12 and their third-points of 8, and
-    each of the two refinement levels halves a multiple of 4, then of 2.
+    each of the two refinement levels halves a multiple of 4, then of 2.  A
+    level puts a midpoint into every gap, so m values become 2m - 1.
     """
     scale, s = _accel.scaled(inst.beliefs)
     distinct = sorted({24 * v for v in s})
@@ -60,17 +60,6 @@ def _grid(inst: GameInstance) -> tuple[int, list[int]]:
         ordered = sorted(cands)
         cands.update((u + v) // 2 for u, v in zip(ordered, ordered[1:]))
     return 24 * scale, sorted(cands)
-
-
-def candidate_opinions(inst: GameInstance) -> tuple[Fraction, ...]:
-    """Beliefs, pairwise midpoints and third-points, refined twice.
-
-    A refinement level puts a midpoint into every gap, so m values become
-    2m - 1.  The grid is built in integers (:func:`_grid`); this is its
-    ``Fraction`` view.
-    """
-    scale, grid = _grid(inst)
-    return tuple(Fraction(v, scale) for v in grid)
 
 
 def _descend(

@@ -286,35 +286,19 @@ def _graph_for(inst: GameInstance, graph: Optional[SegmentGraph]) -> SegmentGrap
     return graph
 
 
-def _reaches_end(graph: SegmentGraph) -> list[bool]:
-    # ids follow the triples, so successors (a' = c+1 > a) have larger ids;
-    # segments with equal (b, c) share one successor tuple, read once
-    reach = [False] * len(graph.segments)
-    shared: dict[tuple[int, int], bool] = {}
-    for u in range(len(graph.segments) - 1, -1, -1):
-        seg = graph.segments[u]
-        if seg.c == graph.n - 1:
-            reach[u] = True
-            continue
-        key = (seg.b, seg.c)
-        if key not in shared:
-            shared[key] = any(reach[v] for v in graph.successors[u])
-        reach[u] = shared[key]
-    return reach
-
-
 def exists_pne(inst: GameInstance, graph: Optional[SegmentGraph] = None) -> bool:
     """Whether the segment DAG has any source-sink path."""
     graph = _graph_for(inst, graph)
-    reach = _reaches_end(graph)
-    return any(reach[u] for u in graph.start_ids)
+    comp = _completion_bounds(graph, maximize=False)
+    return any(comp[u] is not None for u in graph.start_ids)
 
 
 def _completion_bounds(graph: SegmentGraph, maximize: bool) -> list[Optional[int]]:
     """Best achievable weight from each node to a sink, node weight included.
 
-    Segments with equal (b, c) share one successor tuple, so the best
-    completion after a segment is taken once per (b, c).
+    ``None`` marks a node that reaches no sink.  Segments with equal (b, c)
+    share one successor tuple, so the best completion after a segment is
+    taken once per (b, c).
     """
     better = max if maximize else min
     comp: list[Optional[int]] = [None] * len(graph.segments)
@@ -415,7 +399,7 @@ def enumerate_pne(
     if limit < 1:
         raise ValueError("limit must be >= 1")
     graph = _graph_for(inst, graph)
-    reach = _reaches_end(graph)
+    reach = [c is not None for c in _completion_bounds(graph, maximize=False)]
     found: list[tuple[Opinions, Fraction]] = []
     seen: set[tuple[int, ...]] = set()
     expanded: set[tuple[int, int, tuple[int, ...]]] = set()

@@ -222,10 +222,12 @@ class TestPoaBracket:
         with pytest.raises(ValueError):
             poa_bracket(inst, known_pne=(0, 0, 0, 99), use_optimizer=False)
 
-    def test_no_optimizer_uses_truthful_upper(self):
+    def test_no_optimizer_caps_the_truthful_upper_by_the_best_pne(self):
+        # the truthful vector costs 24; the best equilibrium, 12, is feasible too
         inst = GameInstance(k=1, beliefs=(0, 9, 12, 21))
         bracket = poa_bracket(inst, use_optimizer=False)
-        assert bracket.opt_upper == social_cost(inst, inst.beliefs)
+        assert social_cost(inst, inst.beliefs) == 24
+        assert bracket.opt_upper == best_pne(inst)[1] == 12
         assert bracket.opt_lower <= bracket.opt_upper
 
     def test_best_equilibrium_caps_the_upper_bound(self):

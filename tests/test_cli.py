@@ -130,6 +130,37 @@ class TestCheck:
         assert report["pure"]["social_cost"] == "17/2"
         assert report["pure"]["player_costs"] == ["13/2", "1", "1"]
 
+    @pytest.mark.parametrize(
+        "mixed, status, mne",
+        [
+            ([[["-7/2", "1"]], [["3", "1"]], [["4", "1"]]], 0, True),
+            ([[["-10", "1"]], [["2", "1"]], [["5", "1"]]], 1, False),
+        ],
+    )
+    def test_json_reports_pure_and_mixed_together(self, mixed, status, mne, tmp_path, capsys):
+        # the pure vector is an equilibrium; the exit code follows the mixed one too
+        path = tmp_path / "both.json"
+        doc = {"k": 1, "beliefs": ["-10", "2", "5"], "opinions": ["-7/2", "3", "4"], "mixed": mixed}
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path), "--json"]) == status
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"pure", "mixed"}
+        assert report["pure"]["pne"] is True and report["pure"]["social_cost"] == "17/2"
+        assert report["mixed"]["mne"] is mne
+        assert report["mixed"]["expected_social_cost"] == ("17/2" if mne else "18")
+        assert bool(report["mixed"]["violations"]) is not mne
+
+    def test_text_mode_notes_a_distance_tie(self, eq_file, tmp_path, capsys):
+        # player 1's belief 9 lies 6 from both other opinions 3 and 15
+        path = tmp_path / "tie.json"
+        doc = {"k": 1, "beliefs": ["0", "9", "12", "21"], "opinions": ["3", "6", "15", "18"]}
+        path.write_text(json.dumps(doc))
+        note = "note: an exact neighbor-distance tie occurred during verification"
+        assert main(["check", str(path)]) == 0
+        assert note in capsys.readouterr().out
+        assert main(["check", eq_file]) == 0
+        assert note not in capsys.readouterr().out
+
 
 class TestSolve:
     def test_enumerate_and_dot(self, tmp_path, capsys):
@@ -222,7 +253,18 @@ class TestBounds:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"k": 1, "beliefs": ["0", "9", "12", "21"]}))
         assert main(["bounds", str(path), "--no-opt"]) == 0
-        assert "optimal social cost in" in capsys.readouterr().out
+        # the best equilibrium (SC 12) caps the truthful vector's 24
+        assert "optimal social cost in [8, 12]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["pos_quad", "poa_blocks"])
+    def test_k2_equilibrium_file_supplies_the_known_pne(self, name, tmp_path, capsys):
+        assert main(["catalog", "--k", "2", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        [ref] = [r for r in catalog_entry(name, k=2).references if r.tag == "equilibrium"]
+        assert main(["bounds", str(tmp_path / f"{name}__equilibrium.json"), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert F(report["worst_pne_cost"]) == ref.expected_cost
+        assert F(report["opt_upper"]) <= ref.expected_cost
 
 
 class TestOptimizeCommand:

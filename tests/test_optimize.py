@@ -12,12 +12,13 @@ import kcof.optimize as optimize
 from kcof import GameInstance, _accel, opt_lower_bound_k, social_cost
 from kcof.catalog import catalog_entry
 from kcof.catalog import catalog
-from kcof.optimize import (
-    MAX_PLAYERS,
-    _descend,
-    candidate_opinions,
-    optimize_social_cost,
-)
+from kcof.optimize import MAX_PLAYERS, _descend, _grid, optimize_social_cost
+
+
+def candidate_opinions(inst):
+    """The optimizer's grid as exact values."""
+    scale, grid = _grid(inst)
+    return tuple(F(v, scale) for v in grid)
 
 
 def unrefined_grid(beliefs):

@@ -331,21 +331,27 @@ def _per_edge_completions(graph, maximize):
     return comp
 
 
+def _tie_heavy_instances():
+    """300 seeded k=1 instances of n <= 11 beliefs drawn from a pool of at most 4."""
+    rng = random.Random(0x5C5)
+    instances = []
+    for _ in range(300):
+        n = rng.randint(2, 11)
+        pool = [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(rng.randint(1, 4))]
+        beliefs = tuple(sorted(rng.choice(pool) for _ in range(n)))
+        instances.append(GameInstance(k=1, beliefs=beliefs))
+    return instances
+
+
 class TestSharedSuccessors:
     """Completions taken once per (b, c) against a walk over every edge."""
 
     def test_matches_per_edge_walks_on_tie_heavy_graphs(self):
-        rng = random.Random(0x5C5)
         shared = dead_ends = 0
-        instances = [GameInstance(k=1, beliefs=(2,) * 14)]
-        for _ in range(300):
-            n = rng.randint(2, 11)
-            pool = [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(rng.randint(1, 4))]
-            beliefs = tuple(sorted(rng.choice(pool) for _ in range(n)))
-            instances.append(GameInstance(k=1, beliefs=beliefs))
-        for inst in instances:
+        for inst in [GameInstance(k=1, beliefs=(2,) * 14), *_tie_heavy_instances()]:
             graph = build_segment_graph(inst)
-            reach = segments._reaches_end(graph)
+            # a segment reaches a sink exactly when it has a completion
+            reach = [c is not None for c in segments._completion_bounds(graph, False)]
             assert reach == _per_edge_reach(graph)
             for maximize in (False, True):
                 expected = _per_edge_completions(graph, maximize)
@@ -354,3 +360,11 @@ class TestSharedSuccessors:
             shared += len(inner) - len({(seg.b, seg.c) for seg in inner})
             dead_ends += reach.count(False)
         assert shared >= 1000 and dead_ends >= 100, (shared, dead_ends)
+
+    def test_existence_matches_the_oracle_on_tie_heavy_instances(self):
+        with_pne = 0
+        for inst in _tie_heavy_instances():
+            expected = bool(brute_force_pne_oracle(inst))
+            assert exists_pne(inst) == expected, inst.beliefs
+            with_pne += expected
+        assert 0 < with_pne < 300, with_pne
