@@ -6,13 +6,14 @@ line into blocks of consecutive players: everyone up to a pivot points right,
 everyone after it points left.  Inside such a block ("segment") the midpoint
 property forces unique opinions in closed form.  Those opinions depend on the
 pivot only, so every segment with pivot b is a slice of one non-decreasing
-chain of opinions; the players that break a pointer in it form one index
-range, and the self-consistent ("legit") segments follow from a sweep over
-those ranges in O(n^2 log n) plus the output (:func:`build_segment_graph`).
+chain of opinions, grown outward from b only as far as its members keep
+their pointers; the self-consistent ("legit") segments follow in O(n) plus
+the output (:func:`build_segment_graph`).
 The solver wires consecutive legit segments into a DAG and answers existence /
 best / worst / enumeration queries as source-sink path computations; a path's
 total node weight equals the social cost of the equilibrium it assembles.
-Each query function accepts a prebuilt graph, so one build serves them all.
+Each query function accepts a prebuilt graph, so one build (and one completion
+pass per direction, kept on the graph) serves them all.
 All of it runs on integers: the beliefs at the scale of
 :func:`kcof._accel.scaled` times 3 * 2**n, which makes every closed form
 exact, and each :class:`Segment` stores its opinions and weight at that scale
@@ -36,8 +37,7 @@ Indices are 0-based throughout (a segment is a triple ``a <= b < c``).
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -168,47 +168,35 @@ class SegmentGraph:
     start_ids: tuple[int, ...]  # segments with a == 0 (edges from the source)
     end_ids: tuple[int, ...]  # segments with c == n-1 (edges to the sink)
     _s_int: tuple[int, ...]
+    _completions: dict[bool, list[Optional[int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-
-def _violators(s: Sequence[int], z: Sequence[int], b: int) -> tuple[list[int], list[int]]:
-    """For each player p, the nearest players below and above p that break p's pointer.
-
-    q breaks p's pointer when |z_q - s_p| < |z_d - s_p| for p's designated
-    neighbour d.  ``z`` is non-decreasing, so those q form one index range;
-    ``-1`` and ``n`` stand for "none on that side".
-    """
-    n = len(s)
-    lv = [-1] * n
-    rv = [n] * n
-    for p in range(n):
-        dd = abs(z[p + 1 if p <= b else p - 1] - s[p])
-        lo = bisect_right(z, s[p] - dd)
-        hi = bisect_left(z, s[p] + dd)
-        if lo < hi:
-            if lo < p:
-                lv[p] = min(hi, p) - 1
-            if hi > p + 1:
-                rv[p] = max(lo, p + 1)
-    return lv, rv
+    def completions(self, maximize: bool) -> list[Optional[int]]:
+        """:func:`_completion_bounds` of this graph, computed once per direction."""
+        if maximize not in self._completions:
+            self._completions[maximize] = _completion_bounds(self, maximize)
+        return self._completions[maximize]
 
 
 def build_segment_graph(inst: GameInstance) -> SegmentGraph:
-    """Find every legit segment from one opinion chain per pivot, and wire them.
+    """Find every legit segment by walking out from each pivot, and wire them.
 
     A segment's closed forms do not depend on a or c, so segment (a, b, c) is
-    the slice a..c of the chain ``_segment_opinions(s, 0, b, n-1)``.  Left of
-    the pivot z_p lies between s_p and z_{p+1}, right of it between z_{p-1}
-    and s_p, so for sorted beliefs the chain is non-decreasing (exactly: the
-    scale makes every division exact).  The members that break player p's
-    pointer therefore form one index range, found by bisection; with lv(p) and
-    rv(p) the nearest of them below and above p, (a, b, c) is consistent iff
-    every p in a..c has lv(p) < a and rv(p) > c.  Fewer members cannot create
-    a violation, so sweeping a down from b and c up from b+1 stops at the first
-    violation, and weights come from a prefix sum of |z_p - s_p|.  An edge
-    test reads only the two opinions at the boundary, so it is made once per
-    (b, c) of the left segment and pivot b' of the right one.  Cost:
-    O(n^2 log n) plus the output.  Segment ids follow the lexicographic order
-    of the triples.
+    the slice a..c of one chain per pivot b.  Left of the pivot z_p lies
+    between s_p and z_{p+1}, right of it between z_{p-1} and s_p, so for
+    sorted beliefs the chain is non-decreasing (exactly: the scale makes every
+    division exact), and only a member farther from the pivot can break a
+    pointer: q < p breaks left player p's iff z_q > 2 s_p - z_{p+1} (at a tie
+    z_q = z_{p+1} the bound is z_q), and the mirror holds right of b.  So the
+    sides are independent, and each grows only while its new member keeps its
+    neighbour's pointer: as z_{p+2} = 2 z_{p+1} - s_{p+1}, a bound of p above
+    that of p+1 would put z_p above the latter, so kept bounds fall leftward
+    and rise rightward.  The legit segments of pivot b are all (a, b, c)
+    between the two reaches, weighed by a sum per side.  An edge test reads
+    only the two opinions at the boundary, so it is made once per (b, c) of
+    the left segment and pivot b' of the right one.  Cost: O(n) n-bit integer
+    operations plus the output.  Ids follow the triples' lexicographic order.
     """
     _require_k1(inst)
     n = inst.n
@@ -217,25 +205,36 @@ def build_segment_graph(inst: GameInstance) -> SegmentGraph:
     # found[a]: (b, c, opinions, weight) in (b, c) order
     found: list[list[tuple[int, int, tuple[int, ...], int]]] = [[] for _ in range(n)]
     for b in range(n - 1):
-        z = _segment_opinions(s_int, 0, b, n - 1)
-        lv, rv = _violators(s_int, z, b)
-        prefix = [0]
-        for p in range(n):
-            prefix.append(prefix[-1] + abs(z[p] - s_int[p]))
-        lv_ab, rv_ab = -1, n  # max lv and min rv over a..b
-        for a in range(b, -1, -1):
-            lv_ab, rv_ab = max(lv_ab, lv[a]), min(rv_ab, rv[a])
-            lv_ac, rv_ac = lv_ab, rv_ab
-            c = b + 1
-            while c < n:
-                lv_ac, rv_ac = max(lv_ac, lv[c]), min(rv_ac, rv[c])
-                if lv_ac >= a or rv_ac <= c:
-                    break
-                if a != 1 and c != n - 2:
-                    found[a].append((b, c, tuple(z[a : c + 1]), prefix[c + 1] - prefix[a]))
-                c += 1
-            if c == b + 1:
-                break  # no c works for a, so none works for any smaller a
+        gap = s_int[b + 1] - s_int[b]
+        # the chain of _segment_opinions, grown out from b: left[i] = z_{b-i},
+        # right[i] = z_{b+1+i}, and wl[i], wr[i] the weights of those i + 1 players
+        left, right = [s_int[b] + gap // 3], [s_int[b] + (2 * gap) // 3]
+        wl, wr = [left[0] - s_int[b]], [s_int[b + 1] - right[0]]
+        bound = 2 * s_int[b] - right[0]
+        for p in range(b - 1, -1, -1):
+            z = (s_int[p] + left[-1]) // 2
+            if z > bound:
+                break
+            bound = 2 * s_int[p] - left[-1]
+            left.append(z)
+            wl.append(wl[-1] + z - s_int[p])
+        bound = 2 * s_int[b + 1] - left[0]
+        for p in range(b + 2, n):
+            z = (s_int[p] + right[-1]) // 2
+            if z < bound:
+                break
+            bound = 2 * s_int[p] - right[-1]
+            right.append(z)
+            wr.append(wr[-1] + s_int[p] - z)
+        chain = left[::-1] + right
+        lo = b + 1 - len(left)
+        for a in range(b, lo - 1, -1):
+            if a != 1:
+                found[a].extend(
+                    (b, c, tuple(chain[a - lo : c - lo + 1]), wl[b - a] + wr[c - b - 1])
+                    for c in range(b + 1, b + 1 + len(right))
+                    if c != n - 2
+                )
 
     segs: list[Segment] = []
     # starts[a]: per pivot b of the segments at a, (b, z_a, z_{a+1}, their ids)
@@ -289,7 +288,7 @@ def _graph_for(inst: GameInstance, graph: Optional[SegmentGraph]) -> SegmentGrap
 def exists_pne(inst: GameInstance, graph: Optional[SegmentGraph] = None) -> bool:
     """Whether the segment DAG has any source-sink path."""
     graph = _graph_for(inst, graph)
-    comp = _completion_bounds(graph, maximize=False)
+    comp = graph.completions(maximize=False)
     return any(comp[u] is not None for u in graph.start_ids)
 
 
@@ -328,7 +327,7 @@ def _ordered_paths(
     exact completion bound as heuristic, so paths come out in exact weight
     order with polynomial delay.
     """
-    comp = _completion_bounds(graph, maximize)
+    comp = graph.completions(maximize)
     segs = graph.segments
     sign = -1 if maximize else 1
     heap: list[tuple[int, tuple[int, ...], int]] = []
@@ -399,7 +398,7 @@ def enumerate_pne(
     if limit < 1:
         raise ValueError("limit must be >= 1")
     graph = _graph_for(inst, graph)
-    reach = [c is not None for c in _completion_bounds(graph, maximize=False)]
+    reach = [c is not None for c in graph.completions(maximize=False)]
     found: list[tuple[Opinions, Fraction]] = []
     seen: set[tuple[int, ...]] = set()
     expanded: set[tuple[int, int, tuple[int, ...]]] = set()

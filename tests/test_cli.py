@@ -190,6 +190,22 @@ class TestSolve:
         assert "C(0,1,3)" in dot.read_text()
         assert len(calls) == 1
 
+    def test_one_completion_pass_per_direction(self, tmp_path, capsys, monkeypatch):
+        # best_pne and enumerate_pne both read the minimizing pass, worst_pne the maximizing one
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps({"k": 1, "beliefs": ["0", "9", "12", "21"]}))
+        passes = segments._completion_bounds
+        calls = []
+
+        def counting(graph, maximize):
+            calls.append(maximize)
+            return passes(graph, maximize)
+
+        monkeypatch.setattr(segments, "_completion_bounds", counting)
+        assert main(["solve", "--enumerate", "8", str(path), "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["enumerated"]) == 2
+        assert sorted(calls) == [False, True]
+
     def test_closed_stdout_ends_quietly(self, tmp_path):
         # 30 equal beliefs: about 280 kB of JSON, more than a pipe holds, so
         # kcof is still writing when the reader closes its end

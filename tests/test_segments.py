@@ -188,6 +188,61 @@ class TestGraphAgainstSingleSegments:
             assert exists_pne(inst, graph=graph) == exists_pne(inst)
 
 
+def _grown_instances():
+    """60 seeded k=1 instances of 10 to 20 players, tie-heavy or in runs of equal beliefs."""
+    rng = random.Random(0x6E0)
+    instances = [GameInstance(k=1, beliefs=(F(1, 3),) * 20)]
+    for i in range(59):
+        n = rng.randint(10, 20)
+        if i % 2:
+            pool = [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(rng.randint(1, 4))]
+            beliefs = sorted(rng.choice(pool) for _ in range(n))
+        else:
+            beliefs, v = [], F(0)
+            while len(beliefs) < n:
+                v += F(rng.randint(1, 6), rng.choice((1, 2, 3)))
+                beliefs += [v] * rng.randint(1, 8)
+        instances.append(GameInstance(k=1, beliefs=tuple(beliefs[:n])))
+    return instances
+
+
+class TestGraphGrowsLongChains:
+    """The build against ``build_segment`` where pivots reach far from themselves."""
+
+    def test_matches_per_triple_reference_on_long_segments(self):
+        longer_than_ten = 0
+        for inst in _grown_instances():
+            n, s = inst.n, inst.beliefs
+            graph = build_segment_graph(inst)
+            legit = tuple(
+                seg
+                for a in range(n)
+                for b in range(a, n - 1)
+                for c in range(b + 1, n)
+                if (seg := build_segment(inst, a, b, c)).legit
+            )
+            assert graph.segments == legit, s
+            # the wiring in integers, at the segments' common scale
+            scaled = [int(x * legit[0].scale) for x in s]
+            z = [seg.z_int for seg in legit]
+            at = [[v for v, seg in enumerate(legit) if seg.a == a] for a in range(n + 1)]
+            for u, seg in enumerate(legit):
+                # player c keeps pointing at c-1, the next block's first player at its second
+                c = seg.c
+                wired = tuple(
+                    v
+                    for v in at[c + 1]
+                    if abs(z[u][-2] - scaled[c]) <= abs(z[v][0] - scaled[c])
+                    and abs(z[v][1] - scaled[c + 1]) <= abs(z[u][-1] - scaled[c + 1])
+                )
+                assert graph.successors[u] == wired, (s, seg.triple)
+            assert graph.start_ids == tuple(u for u, seg in enumerate(legit) if seg.a == 0)
+            assert graph.end_ids == tuple(u for u, seg in enumerate(legit) if seg.c == n - 1)
+            longer_than_ten += sum(seg.c - seg.a + 1 > 10 for seg in legit)
+        # segments of more than 10 players: no instance of n <= 9 holds one
+        assert longer_than_ten >= 500, longer_than_ten
+
+
 class _CountedReads:
     """A successors table that counts reads per segment id.
 
