@@ -10,10 +10,11 @@ nearest the belief s_i, so it sorts the opinions once (:func:`sorted_view`)
 and :func:`nearest` reads the run around s_i, which yields exactly the
 prefix of :func:`ranked` in O(log n + k log k) per player (plus any
 opinions equal to the lowest of the run); a differential test pins the two
-together on many-tie inputs.  :func:`span` takes the first k and the
-interval [lo, hi] spanning s_i and their opinions: the best reply is its
-midpoint, tested without division as 2*z_i == lo + hi, and the cost of z_i
-is the distance to its far end.  The ``Fraction`` API in :mod:`kcof.game`,
+together on many-tie inputs.  :func:`span` reads that view, which its
+caller sorts once per vector, and takes the first k and the interval
+[lo, hi] spanning s_i and their opinions: the best reply is its midpoint,
+tested without division as 2*z_i == lo + hi, and the cost of z_i is the
+distance to its far end.  The ``Fraction`` API in :mod:`kcof.game`,
 the mixed checks in :mod:`kcof.mixed` and the kernels here all rank through
 :func:`span`; :func:`social_cost` and :func:`first_unstable` are short
 views of it.  The optimizer's descent keeps one :func:`ranked` list per
@@ -26,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 def scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -78,16 +79,16 @@ def span(
     k: int,
     i: int,
     ref: int,
-    view: Optional[Sequence[tuple[int, int]]] = None,
+    view: Sequence[tuple[int, int]],
 ) -> tuple[list[int], bool, int, int]:
     """One ranking of player i's candidates at the integer scale.
 
     Returns the k chosen neighbours, whether the k-th and (k+1)-th are tied
     on distance to s_i, and the ends of the span of s_i and the neighbours'
     opinions.  ``ref`` is the tie reference of :func:`ranked`; ``view`` is
-    ``sorted_view(z)``, made here when not given.
+    ``sorted_view(z)``.
     """
-    order = nearest(sorted_view(z) if view is None else view, i, s[i], ref, k + 1)
+    order = nearest(view, i, s[i], ref, k + 1)
     tie = len(order) > k and order[k - 1][0] == order[k][0]
     chosen = [j for _, _, j in order[:k]]
     lo = hi = s[i]

@@ -150,10 +150,10 @@ def poa_bracket(
     worst_cost: Optional[Fraction] = None
     if inst.k == 1:
         graph = segments.build_segment_graph(inst)
-        best = segments.best_pne(inst, graph=graph)
+        best = segments.best_pne(graph)
         if best is not None:
             best_cost = best[1]
-            worst_cost = segments.worst_pne(inst, graph=graph)[1]
+            worst_cost = segments.worst_pne(graph)[1]
     elif known_pne is not None:
         known = check_pure(inst, known_pne)
         if not known.verdict.is_pne:

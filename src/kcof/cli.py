@@ -151,8 +151,8 @@ def _cmd_solve(args) -> int:
     inst = doc.instance
     if inst.k == 1:
         graph = segments.build_segment_graph(inst)
-        best = segments.best_pne(inst, graph=graph)
-        worst = segments.worst_pne(inst, graph=graph)
+        best = segments.best_pne(graph)
+        worst = segments.worst_pne(graph)
         report: dict = {
             "k": 1,
             "legit_segments": [
@@ -172,7 +172,7 @@ def _cmd_solve(args) -> int:
             lines.append(f"best PNE:  SC = {_R(bc)}  z = ({', '.join(_R(v) for v in bz)})")
             lines.append(f"worst PNE: SC = {_R(wc)}  z = ({', '.join(_R(v) for v in wz)})")
         if args.enumerate:
-            found = segments.enumerate_pne(inst, args.enumerate, graph=graph)
+            found = segments.enumerate_pne(graph, args.enumerate)
             report["enumerated"] = [
                 {"opinions": [_R(v) for v in z], "social_cost": _R(c)} for z, c in found
             ]

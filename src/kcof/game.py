@@ -159,7 +159,7 @@ def _player(inst: GameInstance, z: Sequence, i: int):
     zz = as_opinions(inst, z)
     d, ints = scaled((*inst.beliefs, *zz))
     s, zs = ints[: inst.n], ints[inst.n :]
-    return d, s, zs, span(s, zs, inst.k, i, zs[i])
+    return d, s, zs, span(s, zs, inst.k, i, zs[i], sorted_view(zs))
 
 
 def neighborhood(inst: GameInstance, z: Sequence, i: int) -> Neighborhood:

@@ -63,7 +63,7 @@ def _grid(inst: GameInstance) -> tuple[int, list[int]]:
 
 
 def _descend(
-    s: list[int], z: list[int], k: int, cands: list[int], max_sweeps: int, stable: set | None = None
+    s: list[int], z: list[int], k: int, cands: list[int], max_sweeps: int, stable: set
 ) -> tuple[int, list[int]]:
     """Coordinate descent to a sweep-stable vector; cost never increases.
 
@@ -76,7 +76,6 @@ def _descend(
     descents of one game and grid share.  One that starts at or moves onto
     a vector in it returns at once, as its failing steps would have.
     """
-    stable = set() if stable is None else stable
     n = len(s)
     cost = _accel.social_cost(s, z, k)
     if tuple(z) in stable:

@@ -12,7 +12,7 @@ the output (:func:`build_segment_graph`).
 The solver wires consecutive legit segments into a DAG and answers existence /
 best / worst / enumeration queries as source-sink path computations; a path's
 total node weight equals the social cost of the equilibrium it assembles.
-Each query function accepts a prebuilt graph, so one build (and one completion
+Each query function takes the built graph, so one build (and one completion
 pass per direction, kept on the graph) serves them all.
 All of it runs on integers: the beliefs at the scale of
 :func:`kcof._accel.scaled` times 3 * 2**n, which makes every closed form
@@ -167,7 +167,7 @@ class SegmentGraph:
     successors: tuple[tuple[int, ...], ...]
     start_ids: tuple[int, ...]  # segments with a == 0 (edges from the source)
     end_ids: tuple[int, ...]  # segments with c == n-1 (edges to the sink)
-    _s_int: tuple[int, ...]
+    s_int: tuple[int, ...]  # the beliefs at the segments' scale
     _completions: dict[bool, list[Optional[int]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -271,23 +271,12 @@ def build_segment_graph(inst: GameInstance) -> SegmentGraph:
         successors=tuple(successors),
         start_ids=tuple(u for u, seg in enumerate(segs) if seg.a == 0),
         end_ids=tuple(u for u, seg in enumerate(segs) if seg.c == n - 1),
-        _s_int=tuple(s_int),
+        s_int=tuple(s_int),
     )
 
 
-def _graph_for(inst: GameInstance, graph: Optional[SegmentGraph]) -> SegmentGraph:
-    """The given graph, checked against ``inst``, or a new one."""
-    _require_k1(inst)
-    if graph is None:
-        return build_segment_graph(inst)
-    if graph._s_int != tuple(_scale(inst)[0]):
-        raise ValueError("the segment graph was built for a different instance")
-    return graph
-
-
-def exists_pne(inst: GameInstance, graph: Optional[SegmentGraph] = None) -> bool:
+def exists_pne(graph: SegmentGraph) -> bool:
     """Whether the segment DAG has any source-sink path."""
-    graph = _graph_for(inst, graph)
     comp = graph.completions(maximize=False)
     return any(comp[u] is not None for u in graph.start_ids)
 
@@ -350,7 +339,7 @@ def _ordered_paths(
 
 
 def _passes(graph: SegmentGraph, z_int: Sequence[int]) -> bool:
-    return _accel.first_unstable(list(graph._s_int), list(z_int), 1) == -1
+    return _accel.first_unstable(graph.s_int, z_int, 1) == -1
 
 
 def _extreme_pne(graph: SegmentGraph, maximize: bool) -> Optional[tuple[Opinions, Fraction]]:
@@ -362,27 +351,17 @@ def _extreme_pne(graph: SegmentGraph, maximize: bool) -> Optional[tuple[Opinions
     return None
 
 
-def best_pne(
-    inst: GameInstance, graph: Optional[SegmentGraph] = None
-) -> Optional[tuple[Opinions, Fraction]]:
-    """Minimum social-cost equilibrium, or None when none exists.
-
-    ``graph``, when given, must be ``build_segment_graph(inst)``; it saves
-    building the DAG again.
-    """
-    return _extreme_pne(_graph_for(inst, graph), maximize=False)
+def best_pne(graph: SegmentGraph) -> Optional[tuple[Opinions, Fraction]]:
+    """Minimum social-cost equilibrium, or None when none exists."""
+    return _extreme_pne(graph, maximize=False)
 
 
-def worst_pne(
-    inst: GameInstance, graph: Optional[SegmentGraph] = None
-) -> Optional[tuple[Opinions, Fraction]]:
-    """Maximum social-cost equilibrium, or None when none exists (``graph`` as in best_pne)."""
-    return _extreme_pne(_graph_for(inst, graph), maximize=True)
+def worst_pne(graph: SegmentGraph) -> Optional[tuple[Opinions, Fraction]]:
+    """Maximum social-cost equilibrium, or None when none exists."""
+    return _extreme_pne(graph, maximize=True)
 
 
-def enumerate_pne(
-    inst: GameInstance, limit: int, graph: Optional[SegmentGraph] = None
-) -> list[tuple[Opinions, Fraction]]:
+def enumerate_pne(graph: SegmentGraph, limit: int) -> list[tuple[Opinions, Fraction]]:
     """Up to ``limit`` distinct equilibria via depth-first path enumeration.
 
     Distinct decompositions of degenerate instances can assemble the same
@@ -393,11 +372,10 @@ def enumerate_pne(
     already explored the same subtree, so skipping it changes neither the
     results nor their order, and n equal beliefs (2^(n-2) paths, one
     equilibrium) take polynomial time.  Every returned vector has passed the
-    exact equilibrium check.  ``graph`` as in :func:`best_pne`.
+    exact equilibrium check.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    graph = _graph_for(inst, graph)
     reach = [c is not None for c in graph.completions(maximize=False)]
     found: list[tuple[Opinions, Fraction]] = []
     seen: set[tuple[int, ...]] = set()

@@ -59,7 +59,7 @@ def random_suite():
     for _ in range(RANDOM_SUITE_SIZE):
         inst = random_instance(rng, 3, 10)
         oracle = set(brute_force_pne_oracle(inst))
-        solved = {z for z, _ in enumerate_pne(inst, 1 << inst.n)}
+        solved = {z for z, _ in enumerate_pne(build_segment_graph(inst), 1 << inst.n)}
         suite.append((inst, oracle, solved))
     return suite, time.perf_counter() - t0
 
@@ -85,7 +85,7 @@ def test_criterion_01_intro_example():
 def test_criterion_02_segment_algorithm_example():
     inst = GameInstance(k=1, beliefs=(0, 9, 12, 21))
     graph = build_segment_graph(inst)
-    found = enumerate_pne(inst, 10)
+    found = enumerate_pne(graph, 10)
     vectors = {z for z, _ in found}
     checks = [
         (
@@ -103,7 +103,7 @@ def test_criterion_03_nonexistence_gadget():
     eps = F(1, 8)
     checks = []
     inst1 = GameInstance(k=1, beliefs=(0, 1 - eps, 2))
-    checks.append(("k=1: no source-sink path", not exists_pne(inst1)))
+    checks.append(("k=1: no source-sink path", not exists_pne(build_segment_graph(inst1))))
     chain = small_chain_conditions(0, 1 - eps, 2)
     checks.append(("middle belief fails the first chain condition", not chain.case1_ok))
     for k in (2, 3):
@@ -137,7 +137,7 @@ def test_criterion_05_unique_chain_equilibrium():
     lam = F(1, 10)
     entry = catalog_entry("pos_chain", k=1, lam=lam)
     inst = entry.instance
-    found = enumerate_pne(inst, 50)
+    found = enumerate_pne(build_segment_graph(inst), 50)
     _, upper = optimize_social_cost(inst, starts=_near_opt_starts(entry))
     expected_sc = F(34, 3) - F(2, 5)
     checks = [
@@ -167,7 +167,7 @@ def test_criterion_07_chain_poa_bracket():
     for lam, floor in ((F(1, 2), F(12, 5)), (F(1, 100), F(200, 67))):
         entry = catalog_entry("poa_chain", k=1, lam=lam)
         inst = entry.instance
-        found = worst_pne(inst)
+        found = worst_pne(build_segment_graph(inst))
         _, upper = optimize_social_cost(inst, starts=_near_opt_starts(entry))
         checks.append((f"lam={lam}: worst equilibrium costs 8", found and found[1] == 8))
         checks.append((f"lam={lam}: optimizer <= (8+4lam)/3", upper <= (8 + 4 * lam) / 3))

@@ -10,6 +10,7 @@ import pytest
 from kcof import (
     GameInstance,
     best_pne,
+    build_segment_graph,
     eta,
     opt_lower_bound_1,
     opt_lower_bound_k,
@@ -227,7 +228,7 @@ class TestPoaBracket:
         inst = GameInstance(k=1, beliefs=(0, 9, 12, 21))
         bracket = poa_bracket(inst, use_optimizer=False)
         assert social_cost(inst, inst.beliefs) == 24
-        assert bracket.opt_upper == best_pne(inst)[1] == 12
+        assert bracket.opt_upper == best_pne(build_segment_graph(inst))[1] == 12
         assert bracket.opt_lower <= bracket.opt_upper
 
     def test_best_equilibrium_caps_the_upper_bound(self):
@@ -238,7 +239,7 @@ class TestPoaBracket:
             n = rng.randint(3, 7)
             inst = GameInstance(k=1, beliefs=tuple(sorted(F(rng.randint(0, 30)) for _ in range(n))))
             bracket = poa_bracket(inst)
-            best = best_pne(inst)
+            best = best_pne(build_segment_graph(inst))
             if best is None:
                 assert bracket.worst_pne_cost is None and bracket.ratio_lower is None
                 continue

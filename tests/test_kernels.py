@@ -27,7 +27,7 @@ def assert_matches_reference(s, z, k):
     zf = tuple(F(v) for v in z)
     assert accel.social_cost(s, z, k) == social_cost(inst, zf)
     for i in range(len(s)):
-        _, _, lo, hi = accel.span(s, z, k, i, z[i])
+        _, _, lo, hi = accel.span(s, z, k, i, z[i], accel.sorted_view(z))
         assert max(z[i] - lo, hi - z[i]) == player_cost(inst, zf, i)
     assert (accel.first_unstable(s, z, k) == -1) == is_pure_nash(inst, zf).is_pne
 
@@ -95,7 +95,7 @@ class TestTieRule:
                 if select == "neighborhood":
                     chosen = set(neighborhood(inst, [F(v) for v in z], i).members)
                 else:
-                    chosen = set(accel.span(s, z, k, i, z[i])[0])
+                    chosen = set(accel.span(s, z, k, i, z[i], accel.sorted_view(z))[0])
                 assert len(chosen) == k
                 assert_tie_rule(s, z, i, chosen)
 

@@ -168,7 +168,7 @@ class TestDescent:
         for _ in range(600):
             s, z, k, cands = many_tie_descent_case(rng)
             max_sweeps = rng.choice((1, 2, 3, 200))
-            assert _descend(s, list(z), k, cands, max_sweeps) == full_sweep_descent(
+            assert _descend(s, list(z), k, cands, max_sweeps, set()) == full_sweep_descent(
                 s, list(z), k, cands, max_sweeps
             ), (s, z, k, cands, max_sweeps)
 
@@ -187,7 +187,7 @@ class TestDescent:
             s, z, k, cands = many_tie_descent_case(rng)
             n = len(s)
             seen.clear()
-            cost, result = _descend(s, list(z), k, cands, 200)
+            cost, result = _descend(s, list(z), k, cands, 200, set())
             # a move changes the vector, so the last move is the last call
             # after which the vector differs
             after = seen[1:] + [tuple(result)]
@@ -199,7 +199,7 @@ class TestDescent:
                 assert len(seen) == n
             # from a stable start: one failed step per coordinate, no move
             seen.clear()
-            assert _descend(s, list(result), k, cands, 200) == (cost, result)
+            assert _descend(s, list(result), k, cands, 200, set()) == (cost, result)
             assert len(seen) == n
         assert moved >= 300, moved
 
@@ -210,12 +210,12 @@ class TestSharedStableVectors:
         hits = 0  # descents that started at or moved onto a known stable vector
 
         def alone(s, z, k, cands, max_sweeps, stable):
-            return real(s, z, k, cands, max_sweeps)
+            return real(s, z, k, cands, max_sweeps, set())
 
         def shared(s, z, k, cands, max_sweeps, stable):
             nonlocal hits
             known = set(stable)
-            own_end = real(s, list(z), k, cands, max_sweeps)
+            own_end = real(s, list(z), k, cands, max_sweeps, set())
             cost, result = real(s, z, k, cands, max_sweeps, stable)
             assert (cost, result) == own_end, (s, k, cands)
             hits += tuple(result) in known

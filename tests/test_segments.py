@@ -173,20 +173,6 @@ class TestGraphAgainstSingleSegments:
         assert at_start >= 2500
         assert at_end >= 2500
 
-    def test_graph_of_another_instance_is_rejected(self, quad):
-        graph = build_segment_graph(GameInstance(k=1, beliefs=(0, 9, 12, 22)))
-        with pytest.raises(ValueError, match="different instance"):
-            best_pne(quad, graph=graph)
-
-    def test_prebuilt_graph_gives_the_same_answers(self, rng):
-        for _ in range(20):
-            inst = random_instance(rng)
-            graph = build_segment_graph(inst)
-            assert best_pne(inst, graph=graph) == best_pne(inst)
-            assert worst_pne(inst, graph=graph) == worst_pne(inst)
-            assert enumerate_pne(inst, 64, graph=graph) == enumerate_pne(inst, 64)
-            assert exists_pne(inst, graph=graph) == exists_pne(inst)
-
 
 def _grown_instances():
     """60 seeded k=1 instances of 10 to 20 players, tie-heavy or in runs of equal beliefs."""
@@ -265,30 +251,32 @@ class _CountedReads:
 
 class TestExistence:
     def test_quad_has_equilibria(self, quad):
-        assert exists_pne(quad)
+        assert exists_pne(build_segment_graph(quad))
 
     def test_gadget_has_none(self, gadget):
-        assert not exists_pne(gadget)
+        assert not exists_pne(build_segment_graph(gadget))
 
     @settings(max_examples=60, deadline=None)
     @given(a=st.integers(-50, 50), gap=st.integers(0, 100))
     def test_two_players_always_solvable(self, a, gap):
         inst = GameInstance(k=1, beliefs=(F(a), F(a + gap)))
-        assert exists_pne(inst)
-        found = enumerate_pne(inst, 5)
+        graph = build_segment_graph(inst)
+        assert exists_pne(graph)
+        found = enumerate_pne(graph, 5)
         assert [z for z, _ in found] == [(F(a) + F(gap, 3), F(a) + F(2 * gap, 3))]
 
 
 class TestPathQueries:
     def test_quad_best_and_worst(self, quad):
         # both equilibria cost 12; the lexicographically smaller path wins ties
-        bz, bc = best_pne(quad)
-        wz, wc = worst_pne(quad)
+        graph = build_segment_graph(quad)
+        bz, bc = best_pne(graph)
+        wz, wc = worst_pne(graph)
         assert (bz, bc) == ((3, 6, 15, 18), 12)
         assert (wz, wc) == ((3, 6, 15, 18), 12)
 
     def test_quad_enumeration(self, quad):
-        found = enumerate_pne(quad, 10)
+        found = enumerate_pne(build_segment_graph(quad), 10)
         assert {z for z, _ in found} == {(3, 6, 15, 18), (5, 10, 11, 16)}
         for z, cost in found:
             assert is_pure_nash(quad, z).is_pne
@@ -296,20 +284,23 @@ class TestPathQueries:
 
     def test_unique_equilibrium_chain(self):
         entry = catalog_entry("pos_chain", k=1, lam=F(1, 10))
-        found = enumerate_pne(entry.instance, 50)
+        graph = build_segment_graph(entry.instance)
+        found = enumerate_pne(graph, 50)
         assert len(found) == 1
         assert found[0][1] == F(34, 3) - F(2, 5)
-        assert best_pne(entry.instance) == worst_pne(entry.instance) == found[0]
+        assert best_pne(graph) == worst_pne(graph) == found[0]
 
     def test_gadget_queries_empty(self, gadget):
-        assert best_pne(gadget) is None
-        assert worst_pne(gadget) is None
-        assert enumerate_pne(gadget, 10) == []
+        graph = build_segment_graph(gadget)
+        assert best_pne(graph) is None
+        assert worst_pne(graph) is None
+        assert enumerate_pne(graph, 10) == []
 
     def test_enumerate_limit(self, quad):
-        assert len(enumerate_pne(quad, 1)) == 1
+        graph = build_segment_graph(quad)
+        assert len(enumerate_pne(graph, 1)) == 1
         with pytest.raises(ValueError):
-            enumerate_pne(quad, 0)
+            enumerate_pne(graph, 0)
 
     def test_equal_prefixes_are_expanded_once(self):
         # 30 equal beliefs: 2^28 source-sink paths, one equilibrium
@@ -317,16 +308,16 @@ class TestPathQueries:
         graph = build_segment_graph(inst)
         counted = _CountedReads(graph.successors)
         graph = replace(graph, successors=counted)
-        assert exists_pne(inst, graph=graph)
+        assert exists_pne(graph)
         reach_pass = Counter(counted.reads)  # the reachability pass alone
         counted.reads.clear()
-        assert enumerate_pne(inst, 8, graph=graph) == [((3,) * 30, 0)]
+        assert enumerate_pne(graph, 8) == [((3,) * 30, 0)]
         expansions = counted.reads - reach_pass
         assert expansions and max(expansions.values()) == 1
 
     def test_degenerate_duplicates_collapse(self):
         inst = GameInstance(k=1, beliefs=(5, 5, 5, 5))
-        found = enumerate_pne(inst, 50)
+        found = enumerate_pne(build_segment_graph(inst), 50)
         assert found == [((5, 5, 5, 5), 0)]
 
 
@@ -351,8 +342,27 @@ class TestOracle:
         for _ in range(50):
             inst = random_instance(rng)
             expected = set(brute_force_pne_oracle(inst))
-            got = {z for z, _ in enumerate_pne(inst, 1 << inst.n)}
+            got = {z for z, _ in enumerate_pne(build_segment_graph(inst), 1 << inst.n)}
             assert got == expected
+
+    def test_best_and_worst_match_the_oracle(self):
+        rng = random.Random(0xB57)
+        spread = 0  # instances whose best equilibrium costs less than the worst
+        for _ in range(300):
+            n = rng.randint(4, 12)
+            inst = GameInstance(k=1, beliefs=tuple(sorted(F(rng.randint(0, 40)) for _ in range(n))))
+            oracle = set(brute_force_pne_oracle(inst))
+            graph = build_segment_graph(inst)
+            best, worst = best_pne(graph), worst_pne(graph)
+            assert (best is None) == (not exists_pne(graph)) == (not oracle), inst.beliefs
+            if not oracle:
+                assert worst is None
+                continue
+            costs = [social_cost(inst, z) for z in oracle]
+            assert best[0] in oracle and worst[0] in oracle, inst.beliefs
+            assert (best[1], worst[1]) == (min(costs), max(costs)), inst.beliefs
+            spread += best[1] < worst[1]
+        assert spread >= 10, spread
 
     def test_found_equilibria_are_monotone(self, rng):
         for _ in range(20):
@@ -420,6 +430,6 @@ class TestSharedSuccessors:
         with_pne = 0
         for inst in _tie_heavy_instances():
             expected = bool(brute_force_pne_oracle(inst))
-            assert exists_pne(inst) == expected, inst.beliefs
+            assert exists_pne(build_segment_graph(inst)) == expected, inst.beliefs
             with_pne += expected
         assert 0 < with_pne < 300, with_pne

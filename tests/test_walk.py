@@ -59,7 +59,6 @@ class TestNearestWalk:
                 ends = [s[i]] + [z[j] for j in chosen]
                 expected = (chosen, tie, min(ends), max(ends))
                 assert accel.span(s, z, k, i, z[i], view) == expected
-                assert accel.span(s, z, k, i, z[i]) == expected
 
 
 def _catalog_cases():
