@@ -8,6 +8,14 @@ exactly, solves the k=1 case completely via a segment DAG, brackets the
 optimal social cost with closed-form lower bounds and a heuristic upper
 bound, and ships a catalog of benchmark instances with known values.
 
+The check API is two functions.  :func:`check_pure` decides a pure vector in
+one pass: the verdict with each violator's best reply, every player's cost,
+the social cost and the structure flags.  :func:`check_mixed` decides a
+finite-support profile in one enumeration: the verdict, the expected player
+and social costs and every player's best deterministic deviation.
+:func:`is_pure_nash` and :func:`social_cost` are the two views of
+:func:`check_pure` that other modules call.
+
 Every check and solver works on the pure-Python integer core of
 :mod:`kcof._accel` (``kernel_backend`` is always ``"python"``), which defines
 each piece once: the integer scale (:func:`kcof._accel.scaled`), the
@@ -31,22 +39,15 @@ from .catalog import CatalogEntry, ReferenceVector, catalog, catalog_entry, veri
 from .game import (
     DynamicsResult,
     GameInstance,
-    Interval,
-    Neighborhood,
     PureCheck,
     PureVerdict,
     StructureReport,
     Violation,
     as_opinions,
-    best_response,
     best_response_dynamics,
     check_pure,
-    interval,
     is_pure_nash,
-    neighborhood,
-    player_cost,
     social_cost,
-    structure_report,
 )
 from .instance_io import InstanceDocument, InstanceFormatError, load_instance, write_instance
 from .mixed import (
@@ -55,11 +56,7 @@ from .mixed import (
     MixedVerdict,
     MixedViolation,
     as_randomized,
-    best_deterministic_deviation,
     check_mixed,
-    expected_player_cost,
-    expected_social_cost,
-    is_mixed_nash,
 )
 from .optimize import optimize_social_cost
 from .segments import (

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import segments
-from .game import GameInstance, Opinions, check_pure, social_cost
+from .game import GameInstance, check_pure, social_cost
 from .optimize import optimize_social_cost
 from .rationals import to_fraction
 
@@ -56,8 +56,6 @@ def eta(inst: GameInstance, i: int) -> int:
     """The adjacent player with the closest belief; ties prefer i-1."""
     if not 0 <= i < inst.n:
         raise IndexError(f"player index {i} out of range")
-    if inst.n < 2:
-        raise ValueError("eta needs at least two players")
     s = inst.beliefs
     candidates = [j for j in (i - 1, i + 1) if 0 <= j < inst.n]
     return min(candidates, key=lambda j: (abs(s[i] - s[j]), j))
@@ -131,20 +129,17 @@ class PoaBracket:
 
 
 def poa_bracket(
-    inst: GameInstance,
-    *,
-    known_pne: Optional[Sequence] = None,
-    use_optimizer: bool = True,
-    reference_starts: Sequence[Opinions] = (),
+    inst: GameInstance, *, use_optimizer: bool = True, starts: Sequence[Sequence] = ()
 ) -> PoaBracket:
     """Bracket the price of anarchy from closed-form bounds plus the optimizer.
 
-    For k=1 the best and worst equilibria come from one segment graph; for
-    k >= 2 a caller-supplied equilibrium (``known_pne``, verified here)
-    stands in for both, or the equilibrium side is reported absent.  Every
-    equilibrium is a feasible vector, so the best one's cost caps the upper
-    bound: the optimizer's result or, without the optimizer, the truthful
-    vector's cost.
+    For k=1 the best and worst equilibria come from one segment graph.  For
+    k >= 2 every start that passes :func:`check_pure` is a known
+    equilibrium: the cheapest stands in for the best, the dearest for the
+    worst, and without one the equilibrium side is reported absent.  The
+    optimizer also descends from every start.  Every equilibrium is feasible,
+    so the best one's cost caps the upper bound: the optimizer's result or,
+    without the optimizer, the truthful vector's cost.
     """
     best_cost: Optional[Fraction] = None
     worst_cost: Optional[Fraction] = None
@@ -154,18 +149,18 @@ def poa_bracket(
         if best is not None:
             best_cost = best[1]
             worst_cost = segments.worst_pne(graph)[1]
-    elif known_pne is not None:
-        known = check_pure(inst, known_pne)
-        if not known.verdict.is_pne:
-            raise ValueError("known_pne does not pass the equilibrium check")
-        best_cost = worst_cost = known.social_cost
+    else:
+        checked = (check_pure(inst, z) for z in starts)
+        known = [c.social_cost for c in checked if c.verdict.is_pne]
+        if known:
+            best_cost, worst_cost = min(known), max(known)
 
     opt_lower = opt_lower_bound_k(inst)
     if inst.k == 1:
         opt_lower = max(opt_lower, opt_lower_bound_1(inst))
 
     if use_optimizer:
-        _, opt_upper = optimize_social_cost(inst, starts=reference_starts)
+        _, opt_upper = optimize_social_cost(inst, starts=starts)
     else:
         # the truthful vector is always feasible
         opt_upper = social_cost(inst, inst.beliefs)

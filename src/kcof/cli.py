@@ -25,7 +25,7 @@ from . import mixed as mixed_mod
 from . import segments
 from .catalog import catalog as build_catalog
 from .catalog import recompute
-from .game import GameInstance, best_response_dynamics, check_pure, is_pure_nash
+from .game import GameInstance, best_response_dynamics, check_pure
 from .instance_io import load_instance, write_instance
 from .optimize import optimize_social_cost
 from .rationals import format_rational, parse_rational
@@ -215,13 +215,8 @@ def _cmd_solve(args) -> int:
 def _cmd_bounds(args) -> int:
     doc = load_instance(args.file)
     inst = doc.instance
-    known = None
-    if inst.k >= 2 and doc.opinions is not None and is_pure_nash(inst, doc.opinions).is_pne:
-        known = doc.opinions
     starts = [doc.opinions] if doc.opinions is not None else []
-    bracket = bounds_mod.poa_bracket(
-        inst, known_pne=known, use_optimizer=not args.no_opt, reference_starts=starts
-    )
+    bracket = bounds_mod.poa_bracket(inst, use_optimizer=not args.no_opt, starts=starts)
     caps = [bounds_mod.pne_player_cost_cap(inst, i) for i in range(inst.n)]
     report: dict = {
         "opt_lower_bound_k": _R(bounds_mod.opt_lower_bound_k(inst)),

@@ -17,8 +17,9 @@ chosen opinions.  A ranking walks out from s_i through the sorted opinions
 and reads only the k + 1 nearest (plus any opinions equal to the lowest of
 them), so :func:`check_pure` takes the verdict, the player costs, the social
 cost and the structure flags from one pass in O(n log n + n k log k) for n
-players, not a sort of n - 1 keys per player.  :func:`is_pure_nash`,
-:func:`social_cost` and :func:`structure_report` are views of it.
+players, not a sort of n - 1 keys per player.  A player's cost, best reply
+and structure flags are read from its result; the two views of it are
+:func:`is_pure_nash`, the dynamics' stopping test, and :func:`social_cost`.
 
 Distance ties when ranking neighbor candidates break toward the player's own
 opinion first and then toward the smallest index (:func:`kcof._accel.ranked`).
@@ -50,24 +51,17 @@ from .rationals import to_fraction
 
 __all__ = [
     "GameInstance",
-    "Neighborhood",
-    "Interval",
     "PureVerdict",
     "PureCheck",
     "Violation",
     "DynamicsResult",
     "StructureReport",
     "as_opinions",
-    "neighborhood",
-    "interval",
-    "player_cost",
     "social_cost",
-    "best_response",
     "is_pure_nash",
     "check_pure",
     "best_response_dynamics",
     "MAX_ROUNDS",
-    "structure_report",
 ]
 
 Opinions = tuple[Fraction, ...]
@@ -114,90 +108,11 @@ def as_opinions(inst: GameInstance, values: Iterable) -> Opinions:
     return z
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    """The k players whose opinions sit closest to the owner's belief."""
-
-    owner: int
-    members: frozenset[int]
-
-
-@dataclass(frozen=True)
-class Interval:
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError("interval endpoints out of order")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-
-def _check_index(inst: GameInstance, i: int) -> None:
-    if not 0 <= i < inst.n:
-        raise IndexError(f"player index {i} out of range for n={inst.n}")
-
-
 def _owner(z: Sequence[int], chosen: Sequence[int], i: int, si: int, value: int) -> int:
     """Who attains an end of player i's interval: i first, then the smallest index."""
     if value == si or value == z[i]:
         return i
     return min(j for j in chosen if z[j] == value)
-
-
-def _player(inst: GameInstance, z: Sequence, i: int):
-    """The scale d, s and z times d, and player i's ranking with her own
-    opinion as the tie reference."""
-    _check_index(inst, i)
-    zz = as_opinions(inst, z)
-    d, ints = scaled((*inst.beliefs, *zz))
-    s, zs = ints[: inst.n], ints[inst.n :]
-    return d, s, zs, span(s, zs, inst.k, i, zs[i], sorted_view(zs))
-
-
-def neighborhood(inst: GameInstance, z: Sequence, i: int) -> Neighborhood:
-    """The k players (j != i) whose opinions minimize |z_j - s_i|."""
-    _, _, _, (chosen, _, _, _) = _player(inst, z, i)
-    return Neighborhood(owner=i, members=frozenset(chosen))
-
-
-def interval(inst: GameInstance, z: Sequence, i: int) -> tuple[Interval, int, int]:
-    """Shortest interval spanning s_i, z_i, and the neighbor opinions.
-
-    Returns the interval plus the player indices owning its endpoints
-    (ties prefer the owner i, then the smallest index).
-    """
-    d, s, zs, (chosen, _, lo, hi) = _player(inst, z, i)
-    lo, hi = min(lo, zs[i]), max(hi, zs[i])
-    return (
-        Interval(Fraction(lo, d), Fraction(hi, d)),
-        _owner(zs, chosen, i, s[i], lo),
-        _owner(zs, chosen, i, s[i], hi),
-    )
-
-
-def player_cost(inst: GameInstance, z: Sequence, i: int) -> Fraction:
-    """max over neighbors j of max(|z_i - s_i|, |z_j - z_i|)."""
-    d, _, zs, (_, _, lo, hi) = _player(inst, z, i)
-    return Fraction(max(zs[i] - lo, hi - zs[i]), d)
-
-
-def best_response(inst: GameInstance, z: Sequence, i: int) -> Fraction:
-    """Midpoint of {s_i} and the neighbor opinions: the unique cost minimizer.
-
-    The neighborhood depends on the other players' opinions and s_i only;
-    z_i enters solely as the tie reference when two candidates are exactly
-    equidistant from s_i.
-    """
-    d, _, _, (_, _, lo, hi) = _player(inst, z, i)
-    return Fraction(lo + hi, 2 * d)
 
 
 @dataclass(frozen=True)
@@ -308,11 +223,6 @@ def is_pure_nash(inst: GameInstance, z: Sequence) -> PureVerdict:
 def social_cost(inst: GameInstance, z: Sequence) -> Fraction:
     """Sum of the player costs."""
     return check_pure(inst, z).social_cost
-
-
-def structure_report(inst: GameInstance, z: Sequence) -> StructureReport:
-    """The structure flags of :func:`check_pure`."""
-    return check_pure(inst, z).structure
 
 
 @dataclass(frozen=True)

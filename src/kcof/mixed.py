@@ -9,14 +9,14 @@ same function).  Per realization it sorts the opinions once
 (:func:`kcof._accel.sorted_view`) and ranks every player with
 :func:`kcof._accel.span`, which walks out from her belief to her k + 1
 nearest opinions; from the spans it takes every player's cost and every
-player's deviation interval.  :func:`is_mixed_nash`,
-:func:`expected_player_cost`, :func:`expected_social_cost` and
-:func:`best_deterministic_deviation` are views of that pass.  A realization
-costs O(n log n + n k log k), with at most two walks per player.  The cap
-:data:`MAX_WORK` bounds realizations x n^2, which keeps the largest
-admitted profile to seconds rather than hours.  That bound is loose for
-large n (a walk reads about 2k + 2 opinions, not n - 1), and it stays the
-admission rule so that the same profiles are admitted.
+player's deviation interval.  The verdict, the expected player and social
+costs and each player's best deterministic deviation are fields of its
+:class:`MixedCheck`.  A realization costs O(n log n + n k log k), with at
+most two walks per player.  The cap :data:`MAX_WORK` bounds realizations x
+n^2, which keeps the largest admitted profile to seconds rather than
+hours.  That bound is loose for large n (a walk reads about 2k + 2
+opinions, not n - 1), and it stays the admission rule so that the same
+profiles are admitted.
 
 A profile is a mixed Nash equilibrium when no player can lower her expected
 cost with any deterministic opinion.  Against a fixed realization of the
@@ -38,21 +38,17 @@ from math import prod
 from typing import Sequence
 
 from ._accel import scaled, sorted_view, span
-from .game import GameInstance, _check_index
+from .game import GameInstance
 from .rationals import to_fraction
 
 __all__ = [
     "MAX_WORK",
     "RandomizedOpinions",
     "as_randomized",
-    "expected_player_cost",
-    "expected_social_cost",
-    "best_deterministic_deviation",
     "MixedViolation",
     "MixedVerdict",
     "MixedCheck",
     "check_mixed",
-    "is_mixed_nash",
 ]
 
 # realizations x n^2 bounds a check's work: one sort and n short walks per
@@ -209,31 +205,3 @@ def check_mixed(inst: GameInstance, rz: Sequence) -> MixedCheck:
         Fraction(sum(totals), d * q),
         tuple(deviations),
     )
-
-
-def expected_player_cost(inst: GameInstance, rz: Sequence, i: int) -> Fraction:
-    """Exact expectation of player i's cost over the product distribution."""
-    _check_index(inst, i)
-    return check_mixed(inst, rz).expected_costs[i]
-
-
-def expected_social_cost(inst: GameInstance, rz: Sequence) -> Fraction:
-    """Sum of expected player costs."""
-    return check_mixed(inst, rz).expected_social_cost
-
-
-def best_deterministic_deviation(
-    inst: GameInstance, rz: Sequence, i: int
-) -> tuple[Fraction, Fraction]:
-    """Global minimizer of the expected deviation cost, with its value.
-
-    Returns (y_star, expected_cost); ties in the minimum prefer the smallest
-    deviation.
-    """
-    _check_index(inst, i)
-    return check_mixed(inst, rz).deviations[i]
-
-
-def is_mixed_nash(inst: GameInstance, rz: Sequence) -> MixedVerdict:
-    """Exact check: every player's expected cost <= her best deviation cost."""
-    return check_mixed(inst, rz).verdict

@@ -17,15 +17,14 @@ from kcof import (
     best_response_dynamics,
     brute_force_pne_oracle,
     build_segment_graph,
+    check_mixed,
+    check_pure,
     enumerate_pne,
     exists_pne,
-    expected_social_cost,
-    is_mixed_nash,
     is_pure_nash,
     opt_lower_bound_1,
     opt_lower_bound_k,
     optimize_social_cost,
-    player_cost,
     pne_player_cost_cap,
     pne_player_cost_cap_1,
     small_chain_conditions,
@@ -70,11 +69,11 @@ def test_criterion_01_intro_example():
     zp = (F(-7, 2), F(3), F(4))
     checks = [
         ("SC(z)=23", social_cost(inst, z) == 23),
-        ("costs(z)=(5,9,9)", [player_cost(inst, z, i) for i in range(3)] == [5, 9, 9]),
+        ("costs(z)=(5,9,9)", list(check_pure(inst, z).player_costs) == [5, 9, 9]),
         ("SC(z')=17/2", social_cost(inst, zp) == F(17, 2)),
         (
             "costs(z')=(13/2,1,1)",
-            [player_cost(inst, zp, i) for i in range(3)] == [F(13, 2), 1, 1],
+            list(check_pure(inst, zp).player_costs) == [F(13, 2), 1, 1],
         ),
         ("z' is a PNE", is_pure_nash(inst, zp).is_pne),
         ("z is not a PNE", not is_pure_nash(inst, z).is_pne),
@@ -180,10 +179,11 @@ def test_criterion_08_mixed_chain():
     entry = catalog_entry("mpoa_chain", k=1, lam=lam)
     inst = entry.instance
     profile = next(r.mixed for r in entry.references if r.mixed is not None)
-    esc = expected_social_cost(inst, profile)
+    checked = check_mixed(inst, profile)
+    esc = checked.expected_social_cost
     _, upper = optimize_social_cost(inst, starts=_near_opt_starts(entry))
     checks = [
-        ("profile is a mixed equilibrium", is_mixed_nash(inst, profile).is_mne),
+        ("profile is a mixed equilibrium", checked.verdict.is_mne),
         ("E[SC] = 15 = 16 - 2lam", esc == 15 == 16 - 2 * lam),
         ("mixed ratio certificate", esc / upper >= (16 - 2 * lam) * 3 / (8 + 4 * lam)),
     ]
@@ -200,17 +200,15 @@ def test_criterion_09_blocks_families():
         z = pure.references[0].opinions
         profile = next(r.mixed for r in mixed.references if r.mixed is not None)
         _, upper = optimize_social_cost(inst, starts=_near_opt_starts(pure))
+        checked = check_mixed(inst, profile)
         near_cap = 8 + 2 * lam if k >= 3 else F(5, 3) * (4 + lam)
         checks.append((f"k={k}: pure verifies", is_pure_nash(inst, z).is_pne))
         checks.append(
             (f"k={k}: pure SC=(8+lam)(k+1)", social_cost(inst, z) == (8 + lam) * (k + 1))
         )
-        checks.append((f"k={k}: mixed verifies", is_mixed_nash(inst, profile).is_mne))
+        checks.append((f"k={k}: mixed verifies", checked.verdict.is_mne))
         checks.append(
-            (
-                f"k={k}: E[SC]=8k+16-lam",
-                expected_social_cost(inst, profile) == 8 * k + 16 - lam,
-            )
+            (f"k={k}: E[SC]=8k+16-lam", checked.expected_social_cost == 8 * k + 16 - lam)
         )
         checks.append((f"k={k}: optimizer <= near-opt cost", upper <= near_cap))
     _criterion(9, "block families verify for k in {2,3,5}", checks)
@@ -236,12 +234,12 @@ def test_criterion_11_bound_invariants(random_suite):
         lower_1 = opt_lower_bound_1(inst)
         _, upper = optimize_social_cost(inst)
         for z in solved:
-            sc = social_cost(inst, z)
+            checked = check_pure(inst, z)
+            sc = checked.social_cost
             ok_lower &= sc >= lower_k and sc >= lower_1
             ok_caps &= all(
-                player_cost(inst, z, i) <= pne_player_cost_cap(inst, i)
-                and player_cost(inst, z, i) <= pne_player_cost_cap_1(inst, i)
-                for i in range(inst.n)
+                cost <= pne_player_cost_cap(inst, i) and cost <= pne_player_cost_cap_1(inst, i)
+                for i, cost in enumerate(checked.player_costs)
             )
             if upper > 0:
                 ok_ratio &= sc / upper <= 3
@@ -258,18 +256,18 @@ def test_criterion_11_bound_invariants(random_suite):
             _, upper = optimize_social_cost(inst, starts=_near_opt_starts(entry))
             lower_k = opt_lower_bound_k(inst)
             for ref in pne_refs:
-                z = ref.opinions
-                sc = social_cost(inst, z)
+                checked = check_pure(inst, ref.opinions)
+                sc = checked.social_cost
                 ok_lower &= sc >= lower_k
                 ok_caps &= all(
-                    player_cost(inst, z, i) <= pne_player_cost_cap(inst, i)
-                    for i in range(inst.n)
+                    cost <= pne_player_cost_cap(inst, i)
+                    for i, cost in enumerate(checked.player_costs)
                 )
                 if inst.k == 1:
                     ok_lower &= sc >= opt_lower_bound_1(inst)
                     ok_caps &= all(
-                        player_cost(inst, z, i) <= pne_player_cost_cap_1(inst, i)
-                        for i in range(inst.n)
+                        cost <= pne_player_cost_cap_1(inst, i)
+                        for i, cost in enumerate(checked.player_costs)
                     )
                     ok_ratio &= upper == 0 or sc / upper <= 3
                 ok_ratio &= upper == 0 or sc / upper <= 4 * (inst.k + 1)
@@ -293,7 +291,8 @@ def test_criterion_12_degenerate_mixed_consistency():
         inst = GameInstance(k=k, beliefs=tuple(sorted(rng.randint(0, 40) for _ in range(n))))
         z = tuple(F(rng.randint(-10, 50)) for _ in range(n))
         wrapped = tuple(((v, F(1)),) for v in z)
-        agree &= is_mixed_nash(inst, wrapped).is_mne == is_pure_nash(inst, z).is_pne
-        agree &= expected_social_cost(inst, wrapped) == social_cost(inst, z)
+        checked = check_mixed(inst, wrapped)
+        agree &= checked.verdict.is_mne == is_pure_nash(inst, z).is_pne
+        agree &= checked.expected_social_cost == social_cost(inst, z)
     checks = [("100 singleton wrappings agree exactly", agree)]
     _criterion(12, "degenerate mixed profiles match deterministic verdicts", checks)

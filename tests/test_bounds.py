@@ -11,10 +11,10 @@ from kcof import (
     GameInstance,
     best_pne,
     build_segment_graph,
+    check_pure,
     eta,
     opt_lower_bound_1,
     opt_lower_bound_k,
-    player_cost,
     pne_player_cost_cap,
     pne_player_cost_cap_1,
     poa_bracket,
@@ -134,9 +134,10 @@ class TestCostCaps:
     def test_star_instance_caps(self):
         inst = GameInstance(k=3, beliefs=(0, 0, 0, 1))
         z = (F(1, 3),) * 3 + (F(2, 3),)
+        costs = check_pure(inst, z).player_costs
         for i in range(4):
             assert pne_player_cost_cap(inst, i) == 2
-            assert player_cost(inst, z, i) == F(1, 3)
+            assert costs[i] == F(1, 3)
 
     def test_degenerate_caps_zero(self):
         inst = GameInstance(k=1, beliefs=(5, 5, 5))
@@ -145,9 +146,9 @@ class TestCostCaps:
     def test_chain_equilibrium_respects_k1_cap(self):
         entry = catalog_entry("pos_chain", k=1, lam=F(1, 10))
         inst = entry.instance
-        z = entry.references[0].opinions
+        costs = check_pure(inst, entry.references[0].opinions).player_costs
         for i in range(inst.n):
-            assert player_cost(inst, z, i) <= pne_player_cost_cap_1(inst, i)
+            assert costs[i] <= pne_player_cost_cap_1(inst, i)
 
     def test_cap_ratio_identity(self, rng):
         # sum of caps over the window lower bound is exactly 4(k+1)
@@ -188,7 +189,7 @@ class TestPoaBracket:
     def test_chain_bracket(self):
         entry = catalog_entry("poa_chain", k=1)
         starts = [r.opinions for r in entry.references if r.opinions is not None]
-        bracket = poa_bracket(entry.instance, reference_starts=starts)
+        bracket = poa_bracket(entry.instance, starts=starts)
         assert bracket.worst_pne_cost == 8
         assert bracket.opt_upper <= F(10, 3)
         assert bracket.ratio_lower is not None and bracket.ratio_lower >= F(12, 5)
@@ -207,7 +208,7 @@ class TestPoaBracket:
         entry = catalog_entry("poa_blocks", k=3)
         pne = entry.references[0].opinions
         near = entry.references[1].opinions
-        bracket = poa_bracket(entry.instance, known_pne=pne, reference_starts=[near])
+        bracket = poa_bracket(entry.instance, starts=[pne, near])
         assert bracket.worst_pne_cost == F(17, 2) * 4  # (8 + 1/2)(k + 1)
         assert bracket.opt_upper <= 9
         assert bracket.ratio_lower >= F(34, 9)
@@ -218,10 +219,28 @@ class TestPoaBracket:
         assert bracket.worst_pne_cost is None
         assert bracket.ratio_lower is None and bracket.ratio_upper is None
 
-    def test_rejects_non_equilibrium_hint(self):
+    def test_k2_non_equilibrium_start_reports_absent(self):
         inst = GameInstance(k=2, beliefs=(0, 1, 2, 3))
-        with pytest.raises(ValueError):
-            poa_bracket(inst, known_pne=(0, 0, 0, 99), use_optimizer=False)
+        start = (0, 0, 0, 99)
+        assert not check_pure(inst, start).verdict.is_pne
+        bracket = poa_bracket(inst, use_optimizer=False, starts=[start])
+        assert bracket.worst_pne_cost is None
+        assert bracket.ratio_lower is None and bracket.ratio_upper is None
+
+    def test_k2_cheapest_start_caps_and_dearest_is_worst(self):
+        # two equilibria found by dynamics from random starts; the truthful
+        # vector, which costs 13, is no equilibrium
+        inst = GameInstance(k=2, beliefs=(1, 5, 6, 6, 7, 10))
+        cheap = (F(10, 3), F(16, 3), F(17, 3), F(17, 3), F(27, 4), F(47, 6))
+        dear = (F(11, 3), 5, F(19, 3), F(19, 3), F(20, 3), F(49, 6))
+        checked = [check_pure(inst, z) for z in (cheap, dear, inst.beliefs)]
+        assert [c.verdict.is_pne for c in checked] == [True, True, False]
+        assert [c.social_cost for c in checked] == [F(79, 12), F(41, 6), 13]
+        bracket = poa_bracket(inst, use_optimizer=False, starts=[dear, inst.beliefs, cheap])
+        assert bracket.worst_pne_cost == F(41, 6)
+        assert bracket.opt_upper == F(79, 12)
+        alone = poa_bracket(inst, use_optimizer=False, starts=[dear])
+        assert alone.worst_pne_cost == alone.opt_upper == F(41, 6)
 
     def test_no_optimizer_caps_the_truthful_upper_by_the_best_pne(self):
         # the truthful vector costs 24; the best equilibrium, 12, is feasible too

@@ -10,18 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kcof._accel as accel
 from kcof import (
     GameInstance,
     as_opinions,
-    best_response,
     best_response_dynamics,
     check_pure,
-    interval,
     is_pure_nash,
-    neighborhood,
-    player_cost,
     social_cost,
-    structure_report,
 )
 from kcof.catalog import catalog_entry
 
@@ -33,6 +29,27 @@ def triple() -> GameInstance:
 
 Z_OBSERVED = (F(-10), F(-5), F(4))
 Z_EQUILIBRIUM = (F(-7, 2), F(3), F(4))
+
+
+def _span(inst, z, i):
+    """Player i's chosen neighbours, and the interval spanning s_i, z_i and
+    their opinions, from one :func:`kcof._accel.span`."""
+    d, ints = accel.scaled((*inst.beliefs, *as_opinions(inst, z)))
+    s, zs = ints[: inst.n], ints[inst.n :]
+    chosen, _, lo, hi = accel.span(s, zs, inst.k, i, zs[i], accel.sorted_view(zs))
+    return set(chosen), F(min(lo, zs[i]), d), F(max(hi, zs[i]), d)
+
+
+def _best_reply(inst, z, i):
+    """Player i's best reply: her violation's, or z_i when she has none."""
+    for violation in check_pure(inst, z).verdict.violations:
+        if violation.player == i:
+            return violation.best_reply
+    return as_opinions(inst, z)[i]
+
+
+def _costs(inst, z):
+    return list(check_pure(inst, z).player_costs)
 
 
 class TestInstanceValidation:
@@ -63,57 +80,46 @@ class TestInstanceValidation:
 
 class TestNeighborhood:
     def test_left_player_follows_middle(self, triple):
-        assert neighborhood(triple, Z_OBSERVED, 0).members == {1}
+        assert _span(triple, Z_OBSERVED, 0)[0] == {1}
 
     def test_middle_and_right(self, triple):
-        assert neighborhood(triple, Z_OBSERVED, 1).members == {2}
-        assert neighborhood(triple, Z_OBSERVED, 2).members == {1}
+        assert _span(triple, Z_OBSERVED, 1)[0] == {2}
+        assert _span(triple, Z_OBSERVED, 2)[0] == {1}
 
     def test_all_others_when_n_is_k_plus_1(self):
         inst = GameInstance(k=3, beliefs=(0, 1, 2, 7))
         z = as_opinions(inst, (5, 0, 2, 1))
         for i in range(4):
-            assert neighborhood(inst, z, i).members == set(range(4)) - {i}
-
-    def test_index_out_of_range(self, triple):
-        with pytest.raises(IndexError):
-            neighborhood(triple, Z_OBSERVED, 3)
+            assert _span(inst, z, i)[0] == set(range(4)) - {i}
 
 
 class TestInterval:
     def test_equilibrium_middle_interval(self, triple):
-        box, lo_owner, hi_owner = interval(triple, Z_EQUILIBRIUM, 1)
-        assert (box.lo, box.hi) == (2, 4)
-        assert lo_owner == 1  # own belief attains the left endpoint
-        assert hi_owner == 2
+        assert _span(triple, Z_EQUILIBRIUM, 1)[1:] == (2, 4)
 
     def test_degenerate_point(self):
         inst = GameInstance(k=1, beliefs=(3, 3, 3))
-        box, lo_owner, hi_owner = interval(inst, (3, 3, 3), 1)
-        assert (box.lo, box.hi) == (3, 3)
-        assert lo_owner == hi_owner == 1  # ties prefer the owner
+        assert _span(inst, (3, 3, 3), 1)[1:] == (3, 3)
 
     def test_k2_sevenths_vector(self):
         # direct evaluation: P = {0, 4/7} plus the two nearest opinions 6/7, 8/7
         inst = GameInstance(k=2, beliefs=(0, 1, 1, 2))
         z = (F(4, 7), F(6, 7), F(8, 7), F(10, 7))
-        box, lo_owner, hi_owner = interval(inst, z, 0)
-        assert (box.lo, box.hi) == (0, F(8, 7))
-        assert lo_owner == 0 and hi_owner == 2
+        assert _span(inst, z, 0)[1:] == (0, F(8, 7))
 
 
 class TestCosts:
     def test_observed_costs(self, triple):
-        assert [player_cost(triple, Z_OBSERVED, i) for i in range(3)] == [5, 9, 9]
+        assert _costs(triple, Z_OBSERVED) == [5, 9, 9]
         assert social_cost(triple, Z_OBSERVED) == 23
 
     def test_equilibrium_costs(self, triple):
-        assert [player_cost(triple, Z_EQUILIBRIUM, i) for i in range(3)] == [F(13, 2), 1, 1]
+        assert _costs(triple, Z_EQUILIBRIUM) == [F(13, 2), 1, 1]
         assert social_cost(triple, Z_EQUILIBRIUM) == F(17, 2)
 
     def test_zero_cost(self):
         inst = GameInstance(k=2, beliefs=(4, 4, 4))
-        assert player_cost(inst, (4, 4, 4), 0) == 0
+        assert check_pure(inst, (4, 4, 4)).player_costs[0] == 0
         assert social_cost(inst, (4, 4, 4)) == 0
 
     @settings(max_examples=50, deadline=None)
@@ -126,8 +132,7 @@ class TestCosts:
         z = [o for _, o in data]
         inst = GameInstance(k=1, beliefs=tuple(beliefs))
         shifted = GameInstance(k=1, beliefs=tuple(b + shift for b in beliefs))
-        for i in range(len(data)):
-            assert player_cost(inst, z, i) == player_cost(shifted, [v + shift for v in z], i)
+        assert _costs(inst, z) == _costs(shifted, [v + shift for v in z])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -139,25 +144,25 @@ class TestCosts:
         inst = GameInstance(k=1, beliefs=tuple(beliefs))
         mirrored = GameInstance(k=1, beliefs=tuple(-b for b in reversed(beliefs)))
         mz = [-v for v in reversed(z)]
-        original = sorted(player_cost(inst, z, i) for i in range(len(data)))
-        reflected = sorted(player_cost(mirrored, mz, i) for i in range(len(data)))
+        original = sorted(_costs(inst, z))
+        reflected = sorted(_costs(mirrored, mz))
         assert original == reflected
 
 
 class TestBestResponse:
     def test_middle_player_midpoint(self, triple):
         # response to z_0=-3.5, z_2=4 is the middle of [2, 4]; own entry unused
-        assert best_response(triple, (F(-7, 2), F(99), F(4)), 1) == 3
+        assert _best_reply(triple, (F(-7, 2), F(99), F(4)), 1) == 3
 
     def test_all_points_equal(self):
         inst = GameInstance(k=1, beliefs=(7, 7))
-        assert best_response(inst, (7, 7), 0) == 7
+        assert _best_reply(inst, (7, 7), 0) == 7
 
     def test_sevenths_vector_is_a_fixed_point(self):
         inst = GameInstance(k=2, beliefs=(0, 1, 1, 2))
         z = (F(4, 7), F(6, 7), F(8, 7), F(10, 7))
         for i in range(4):
-            assert best_response(inst, z, i) == z[i]
+            assert _best_reply(inst, z, i) == z[i]
 
     def test_beats_random_probes(self):
         rng = random.Random(7)
@@ -167,11 +172,11 @@ class TestBestResponse:
             inst = GameInstance(k=k, beliefs=tuple(sorted(rng.randint(0, 60) for _ in range(n))))
             z = [F(rng.randint(-20, 80)) for _ in range(n)]
             i = rng.randrange(n)
-            reply = best_response(inst, z, i)
-            base = player_cost(inst, z[:i] + [reply] + z[i + 1 :], i)
+            reply = _best_reply(inst, z, i)
+            base = _costs(inst, z[:i] + [reply] + z[i + 1 :])[i]
             for _ in range(100):
                 probe = F(rng.randint(-2000, 8000), rng.randint(1, 64))
-                assert player_cost(inst, z[:i] + [probe] + z[i + 1 :], i) >= base
+                assert _costs(inst, z[:i] + [probe] + z[i + 1 :])[i] >= base
 
 
 class TestIsPureNash:
@@ -195,8 +200,8 @@ class TestIsPureNash:
         verdict = is_pure_nash(triple, Z_EQUILIBRIUM)
         assert verdict.is_pne
         for i in range(3):
-            box, _, _ = interval(triple, Z_EQUILIBRIUM, i)
-            assert Z_EQUILIBRIUM[i] == box.midpoint
+            _, lo, hi = _span(triple, Z_EQUILIBRIUM, i)
+            assert Z_EQUILIBRIUM[i] == (lo + hi) / 2
 
 
 class TestDynamics:
@@ -226,17 +231,17 @@ class TestDynamics:
 
 class TestStructureReport:
     def test_equilibrium_reports_clean(self, triple):
-        report = structure_report(triple, Z_EQUILIBRIUM)
+        report = check_pure(triple, Z_EQUILIBRIUM).structure
         assert report.monotone and report.in_belief_range and report.consecutive_neighborhoods
 
     def test_sevenths_equilibrium(self):
         inst = GameInstance(k=2, beliefs=(0, 1, 1, 2))
-        report = structure_report(inst, (F(4, 7), F(6, 7), F(8, 7), F(10, 7)))
+        report = check_pure(inst, (F(4, 7), F(6, 7), F(8, 7), F(10, 7))).structure
         assert report.all_ok
 
     def test_constructed_monotonicity_violation(self):
         inst = GameInstance(k=1, beliefs=(0, 10, 20))
-        report = structure_report(inst, (5, 0, 20))
+        report = check_pure(inst, (5, 0, 20)).structure
         assert not report.monotone
 
 
@@ -292,8 +297,6 @@ def _assert_matches_brute(inst, z):
     # the views agree with the pass
     assert is_pure_nash(inst, z) == got.verdict
     assert social_cost(inst, z) == got.social_cost
-    assert structure_report(inst, z) == structure
-    assert [player_cost(inst, z, i) for i in range(inst.n)] == costs
     return got
 
 

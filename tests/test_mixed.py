@@ -13,13 +13,9 @@ from kcof import (
     MAX_WORK,
     GameInstance,
     as_randomized,
-    best_deterministic_deviation,
     check_mixed,
-    expected_player_cost,
-    expected_social_cost,
-    is_mixed_nash,
+    check_pure,
     is_pure_nash,
-    player_cost,
 )
 from kcof import mixed
 from kcof.catalog import PNE, catalog, catalog_entry
@@ -73,50 +69,53 @@ class TestChainConstruction:
     def test_expected_player_costs(self, chain):
         inst, rz = chain
         lam = F(1, 2)
-        assert expected_player_cost(inst, rz, 2) == 8 - lam
-        assert expected_player_cost(inst, rz, 3) == 8 - lam
+        costs = check_mixed(inst, rz).expected_costs
+        assert costs[2] == 8 - lam
+        assert costs[3] == 8 - lam
         for i in (0, 1, 4, 5):
-            assert expected_player_cost(inst, rz, i) == 0
+            assert costs[i] == 0
 
     def test_expected_social_cost(self, chain):
         inst, rz = chain
-        assert expected_social_cost(inst, rz) == 16 - 2 * F(1, 2)
+        assert check_mixed(inst, rz).expected_social_cost == 16 - 2 * F(1, 2)
 
     def test_deviation_minimum_is_tight(self, chain):
         inst, rz = chain
-        y_star, cost = best_deterministic_deviation(inst, rz, 2)
+        y_star, cost = check_mixed(inst, rz).deviations[2]
         assert cost == 8 - F(1, 2)
         assert y_star == F(-13, 2)  # smallest minimizer: the realization midpoint
 
     def test_verdict(self, chain):
         inst, rz = chain
-        assert is_mixed_nash(inst, rz).is_mne
+        assert check_mixed(inst, rz).verdict.is_mne
 
 
 class TestBlocksConstruction:
     def test_middle_players_cost_eight(self, blocks3):
         inst, rz = blocks3
+        costs = check_mixed(inst, rz).expected_costs
         for i in (5, 6):  # the k-1 players between the two randomizers
-            assert expected_player_cost(inst, rz, i) == 8
+            assert costs[i] == 8
 
     def test_randomizer_cost(self, blocks3):
         inst, rz = blocks3
         lam = F(1, 2)
-        assert expected_player_cost(inst, rz, 7) == 12 - lam / 2
-        assert expected_player_cost(inst, rz, 4) == 12 - lam / 2
+        costs = check_mixed(inst, rz).expected_costs
+        assert costs[7] == 12 - lam / 2
+        assert costs[4] == 12 - lam / 2
 
     def test_expected_social_cost(self, blocks3):
         inst, rz = blocks3
-        assert expected_social_cost(inst, rz) == 8 * 3 + 16 - F(1, 2)
+        assert check_mixed(inst, rz).expected_social_cost == 8 * 3 + 16 - F(1, 2)
 
     def test_randomizer_deviation_minimum(self, blocks3):
         inst, rz = blocks3
-        _, cost = best_deterministic_deviation(inst, rz, 7)
+        _, cost = check_mixed(inst, rz).deviations[7]
         assert cost == 12 - F(1, 4)
 
     def test_verdict(self, blocks3):
         inst, rz = blocks3
-        assert is_mixed_nash(inst, rz).is_mne
+        assert check_mixed(inst, rz).verdict.is_mne
 
 
 class TestDegenerateConsistency:
@@ -125,12 +124,12 @@ class TestDegenerateConsistency:
         z = (F(-10), F(-5), F(4))
         wrapped = singleton_wrap(z)
         assert not is_pure_nash(inst, z).is_pne
-        assert not is_mixed_nash(inst, wrapped).is_mne
+        assert not check_mixed(inst, wrapped).verdict.is_mne
 
     def test_equilibrium_wrap_is_accepted(self):
         inst = GameInstance(k=1, beliefs=(-10, 2, 5))
         z = (F(-7, 2), F(3), F(4))
-        assert is_mixed_nash(inst, singleton_wrap(z)).is_mne
+        assert check_mixed(inst, singleton_wrap(z)).verdict.is_mne
 
     def test_random_wraps_match_deterministic(self, rng):
         for _ in range(40):
@@ -139,12 +138,11 @@ class TestDegenerateConsistency:
             inst = GameInstance(k=k, beliefs=tuple(sorted(rng.randint(0, 30) for _ in range(n))))
             z = tuple(F(rng.randint(-10, 40)) for _ in range(n))
             wrapped = singleton_wrap(z)
-            assert is_mixed_nash(inst, wrapped).is_mne == is_pure_nash(inst, z).is_pne
-            assert expected_social_cost(inst, wrapped) == sum(
-                player_cost(inst, z, i) for i in range(n)
-            )
+            mixed_check, costs = check_mixed(inst, wrapped), check_pure(inst, z).player_costs
+            assert mixed_check.verdict.is_mne == is_pure_nash(inst, z).is_pne
+            assert mixed_check.expected_social_cost == sum(costs)
             for i in range(n):
-                assert expected_player_cost(inst, wrapped, i) == player_cost(inst, z, i)
+                assert mixed_check.expected_costs[i] == costs[i]
 
     def test_ties_preserved_on_wrap(self):
         # the sevenths equilibrium has exact boundary ties; degenerate
@@ -152,7 +150,7 @@ class TestDegenerateConsistency:
         inst = GameInstance(k=2, beliefs=(0, 1, 1, 2))
         z = (F(4, 7), F(6, 7), F(8, 7), F(10, 7))
         assert is_pure_nash(inst, z).is_pne
-        assert is_mixed_nash(inst, singleton_wrap(z)).is_mne
+        assert check_mixed(inst, singleton_wrap(z)).verdict.is_mne
 
 
 def _deviation_g(inst, rz, i):
@@ -182,9 +180,10 @@ def _deviation_g(inst, rz, i):
 class TestDeviationFunction:
     def test_soundness_against_random_probes(self, chain, rng):
         inst, rz = chain
+        deviations = check_mixed(inst, rz).deviations
         for i in range(inst.n):
             g, _ = _deviation_g(inst, rz, i)
-            _, best = best_deterministic_deviation(inst, rz, i)
+            _, best = deviations[i]
             for _ in range(100):
                 y = F(rng.randint(-1200, 1200), rng.randint(1, 16))
                 assert g(y) >= best
@@ -200,10 +199,8 @@ class TestDeviationFunction:
 
     def test_linearity_of_expectation(self, chain):
         inst, rz = chain
-        per_player = sum(
-            (expected_player_cost(inst, rz, i) for i in range(inst.n)), F(0)
-        )
-        assert expected_social_cost(inst, rz) == per_player
+        checked = check_mixed(inst, rz)
+        assert checked.expected_social_cost == sum(checked.expected_costs, F(0))
 
 
 class TestWorkCap:
@@ -215,7 +212,7 @@ class TestWorkCap:
         two_point = tuple(((F(i), F(1, 2)), (F(i) + 1, F(1, 2))) for i in range(n))
         start = time.perf_counter()
         with pytest.raises(ValueError, match="cap"):
-            is_mixed_nash(inst, two_point)
+            check_mixed(inst, two_point)
         assert time.perf_counter() - start < 1
 
     @staticmethod
@@ -287,7 +284,7 @@ class TestBestDeviationSweep:
 
 
 def _brute_mixed(inst, rz):
-    """Expected costs by product enumeration with player_cost, and each
+    """Expected costs by product enumeration of the pure costs, and each
     player's smallest best deviation by evaluating the deviation function at
     every kink, support point and belief."""
     supports = as_randomized(inst, rz)
@@ -296,9 +293,9 @@ def _brute_mixed(inst, rz):
         prob = F(1)
         for _, pr in combo:
             prob *= pr
-        z = [op for op, _ in combo]
+        pure_costs = check_pure(inst, [op for op, _ in combo]).player_costs
         for i in range(inst.n):
-            costs[i] += prob * player_cost(inst, z, i)
+            costs[i] += prob * pure_costs[i]
     deviations = []
     for i in range(inst.n):
         g, kinks = _deviation_g(inst, rz, i)
@@ -309,7 +306,7 @@ def _brute_mixed(inst, rz):
 
 
 class TestCheckMixedDifferential:
-    """check_mixed against a product enumeration of player_cost."""
+    """check_mixed against a product enumeration of check_pure's player costs."""
 
     @staticmethod
     def _equilibria():
