@@ -239,8 +239,6 @@ class TestPoaBracket:
         bracket = poa_bracket(inst, use_optimizer=False, starts=[dear, inst.beliefs, cheap])
         assert bracket.worst_pne_cost == F(41, 6)
         assert bracket.opt_upper == F(79, 12)
-        alone = poa_bracket(inst, use_optimizer=False, starts=[dear])
-        assert alone.worst_pne_cost == alone.opt_upper == F(41, 6)
 
     def test_no_optimizer_caps_the_truthful_upper_by_the_best_pne(self):
         # the truthful vector costs 24; the best equilibrium, 12, is feasible too
