@@ -5,8 +5,8 @@ Exit codes: 0 success (for check/mixed-check: the vector is an equilibrium),
 1 checked vector is not an equilibrium, 2 input or usage error, or standard
 output closed before the report was written (``kcof ... | head``; the rest of
 the report is dropped quietly, without a traceback).
-All reports are also available as JSON via --json; rationals are always
-rendered as exact strings.
+All reports are also available as JSON via --json, one line of compact JSON;
+rationals are always rendered as exact strings.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ _R = format_rational
 
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report))  # no indent: the C encoder, one line
     else:
         print("\n".join(lines))
 
@@ -146,6 +146,30 @@ def _cmd_mixed_check(args) -> int:
     return 0 if ok else 1
 
 
+def _vector_report(opinions, cost) -> dict:
+    return {"opinions": [_R(v) for v in opinions], "social_cost": _R(cost)}
+
+
+def _k1_lines(report: dict, limit: int) -> list[str]:
+    """The text form of a k=1 solve report."""
+
+    def vector(entry: dict) -> str:
+        return f"SC = {entry['social_cost']}  z = ({', '.join(entry['opinions'])})"
+
+    lines = [f"legit segments: {len(report['legit_segments'])}"]
+    if report["exists_pne"]:
+        lines.append(f"best PNE:  {vector(report['best'])}")
+        lines.append(f"worst PNE: {vector(report['worst'])}")
+    else:
+        lines.append("no pure Nash equilibrium exists")
+    if "enumerated" in report:
+        lines.append(f"enumerated {len(report['enumerated'])} equilibria (limit {limit}):")
+        lines.extend(f"  {vector(entry)}" for entry in report["enumerated"])
+    if "dot" in report:
+        lines.append(f"wrote segment graph to {report['dot']}")
+    return lines
+
+
 def _cmd_solve(args) -> int:
     doc = load_instance(args.file)
     inst = doc.instance
@@ -161,29 +185,16 @@ def _cmd_solve(args) -> int:
             ],
             "exists_pne": best is not None,
         }
-        lines = [f"legit segments: {len(graph.segments)}"]
-        if best is None:
-            lines.append("no pure Nash equilibrium exists")
-        else:
-            bz, bc = best
-            wz, wc = worst
-            report["best"] = {"opinions": [_R(v) for v in bz], "social_cost": _R(bc)}
-            report["worst"] = {"opinions": [_R(v) for v in wz], "social_cost": _R(wc)}
-            lines.append(f"best PNE:  SC = {_R(bc)}  z = ({', '.join(_R(v) for v in bz)})")
-            lines.append(f"worst PNE: SC = {_R(wc)}  z = ({', '.join(_R(v) for v in wz)})")
+        if best is not None:
+            report["best"] = _vector_report(*best)
+            report["worst"] = _vector_report(*worst)
         if args.enumerate:
             found = segments.enumerate_pne(graph, args.enumerate)
-            report["enumerated"] = [
-                {"opinions": [_R(v) for v in z], "social_cost": _R(c)} for z, c in found
-            ]
-            lines.append(f"enumerated {len(found)} equilibria (limit {args.enumerate}):")
-            for z, c in found:
-                lines.append(f"  SC = {_R(c)}  z = ({', '.join(_R(v) for v in z)})")
+            report["enumerated"] = [_vector_report(z, c) for z, c in found]
         if args.dot:
             Path(args.dot).write_text(segments.to_dot(graph) + "\n", encoding="utf-8")
             report["dot"] = args.dot
-            lines.append(f"wrote segment graph to {args.dot}")
-        _emit(report, args.json, lines)
+        _emit(report, args.json, [] if args.json else _k1_lines(report, args.enumerate))
         return 0
 
     result = best_response_dynamics(inst, inst.beliefs, max_rounds=args.rounds)

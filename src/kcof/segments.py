@@ -19,11 +19,12 @@ All of it runs on integers: the beliefs at the scale of
 exact, and each :class:`Segment` stores its opinions and weight at that scale
 once; their ``Fraction`` values are made only when read.
 
-Assembled vectors are always re-verified before being reported, by the
-integer equilibrium test :func:`kcof._accel.first_unstable` on the graph's
-integer scale - the graph tests use non-strict comparisons, so at exact
-distance ties a path may describe an equilibrium that only exists under a
-different tie rule than ours.  That test applies the tie rule of
+Assembled vectors are re-verified before being reported, once per graph (the
+graph keeps the vectors that passed), by the integer equilibrium test
+:func:`kcof._accel.first_unstable` on the graph's integer scale - the graph
+tests use non-strict comparisons, so at exact distance ties a path may
+describe an equilibrium that only exists under a different tie rule than
+ours.  That test applies the tie rule of
 :func:`kcof._accel.ranked`, as :func:`kcof.game.is_pure_nash` does: it sorts
 the vector's opinions once and walks out from each belief to the nearest
 opinion (:func:`kcof._accel.nearest`, the prefix of the full ranking), so a
@@ -170,6 +171,9 @@ class SegmentGraph:
     s_int: tuple[int, ...]  # the beliefs at the segments' scale
     _completions: dict[bool, list[Optional[int]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
+    )
+    _verified: set[tuple[int, ...]] = field(
+        default_factory=set, init=False, repr=False, compare=False
     )
 
     def completions(self, maximize: bool) -> list[Optional[int]]:
@@ -338,13 +342,18 @@ def _ordered_paths(
             heapq.heappush(heap, (prio, path + (v,), nacc))
 
 
-def _passes(graph: SegmentGraph, z_int: Sequence[int]) -> bool:
-    return _accel.first_unstable(graph.s_int, z_int, 1) == -1
+def _passes(graph: SegmentGraph, z_int: tuple[int, ...]) -> bool:
+    """The exact equilibrium check, made once per graph for each vector that passes."""
+    if z_int not in graph._verified:
+        if _accel.first_unstable(graph.s_int, z_int, 1) != -1:
+            return False
+        graph._verified.add(z_int)
+    return True
 
 
 def _extreme_pne(graph: SegmentGraph, maximize: bool) -> Optional[tuple[Opinions, Fraction]]:
     for weight, path in _ordered_paths(graph, maximize):
-        z_int = [v for u in path for v in graph.segments[u].z_int]
+        z_int = tuple(v for u in path for v in graph.segments[u].z_int)
         if _passes(graph, z_int):
             scale = graph.segments[path[0]].scale
             return tuple(Fraction(v, scale) for v in z_int), Fraction(weight, scale)
@@ -372,12 +381,14 @@ def enumerate_pne(graph: SegmentGraph, limit: int) -> list[tuple[Opinions, Fract
     already explored the same subtree, so skipping it changes neither the
     results nor their order, and n equal beliefs (2^(n-2) paths, one
     equilibrium) take polynomial time.  Every returned vector has passed the
-    exact equilibrium check.
+    exact equilibrium check on this graph, and its opinions share one
+    ``Fraction`` per distinct value.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     reach = [c is not None for c in graph.completions(maximize=False)]
     found: list[tuple[Opinions, Fraction]] = []
+    values: dict[int, Fraction] = {}
     seen: set[tuple[int, ...]] = set()
     expanded: set[tuple[int, int, tuple[int, ...]]] = set()
     segs = graph.segments
@@ -391,7 +402,10 @@ def enumerate_pne(graph: SegmentGraph, limit: int) -> list[tuple[Opinions, Fract
                 seen.add(z_int)
                 if _passes(graph, z_int):
                     f = seg.scale
-                    found.append((tuple(Fraction(v, f) for v in z_int), Fraction(acc, f)))
+                    for v in z_int:
+                        if v not in values:
+                            values[v] = Fraction(v, f)
+                    found.append((tuple(map(values.__getitem__, z_int)), Fraction(acc, f)))
             continue
         key = (seg.b, seg.c, z_int)
         if key in expanded:

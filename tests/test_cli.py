@@ -207,8 +207,8 @@ class TestSolve:
         assert sorted(calls) == [False, True]
 
     def test_closed_stdout_ends_quietly(self, tmp_path):
-        # 30 equal beliefs: about 280 kB of JSON, more than a pipe holds, so
-        # kcof is still writing when the reader closes its end
+        # 30 equal beliefs: about 160 kB of JSON on one line, more than a pipe
+        # holds, so kcof is still writing when the reader closes its end
         path = tmp_path / "equal.json"
         path.write_text(json.dumps({"k": 1, "beliefs": ["0"] * 30}))
         env = {**os.environ, "PYTHONPATH": str(Path(kcof.__file__).resolve().parents[1])}
@@ -218,7 +218,7 @@ class TestSolve:
             stderr=subprocess.PIPE,
             env=env,
         ) as proc:
-            assert proc.stdout.readline() == b"{\n"
+            assert proc.stdout.read(1) == b"{"
             proc.stdout.close()
             stderr = proc.stderr.read().decode()
             assert proc.wait(timeout=60) == 2
@@ -251,6 +251,56 @@ class TestSolve:
         assert main(["solve", str(path), "--rounds", "1000001"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "1000000, the dynamics cap" in err
+
+
+class TestJsonReports:
+    QUAD_REPORT = {
+        "k": 1,
+        "legit_segments": [
+            {"a": 0, "b": 0, "c": 1, "weight": "6"},
+            {"a": 0, "b": 1, "c": 3, "weight": "12"},
+            {"a": 2, "b": 2, "c": 3, "weight": "6"},
+        ],
+        "exists_pne": True,
+        "best": {"opinions": ["3", "6", "15", "18"], "social_cost": "12"},
+        "worst": {"opinions": ["3", "6", "15", "18"], "social_cost": "12"},
+        "enumerated": [
+            {"opinions": ["3", "6", "15", "18"], "social_cost": "12"},
+            {"opinions": ["5", "10", "11", "16"], "social_cost": "12"},
+        ],
+    }
+
+    @pytest.fixture(scope="class")
+    def cat(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("cat")
+        for k in (1, 2):
+            assert main(["catalog", "--k", str(k), "--out", str(out / f"k{k}")]) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "k1/two_pne_quad__paired_blocks.json"],
+            ["check", "k2/pos_quad__near_opt.json"],
+            ["mixed-check", "k1/mpoa_chain__mixed_equilibrium.json"],
+            ["solve", "k1/two_pne_quad.json", "--enumerate", "4"],
+            ["solve", "k1/no_pne_gadget.json"],
+            ["solve", "k2/poa_blocks.json"],
+            ["bounds", "k2/pos_quad__equilibrium.json"],
+            ["optimize", "k1/intro_triple.json"],
+            ["catalog", "--k", "2"],
+        ],
+    )
+    def test_each_report_is_one_line(self, argv, cat, capsys):
+        argv = [str(cat / a) if a.endswith(".json") else a for a in argv]
+        assert main(argv + ["--json"]) in (0, 1)
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert isinstance(json.loads(out), dict)
+
+    def test_k1_solve_report(self, cat, capsys):
+        assert main(["solve", "--json", "--enumerate", "4", str(cat / "k1/two_pne_quad.json")]) == 0
+        assert json.loads(capsys.readouterr().out) == self.QUAD_REPORT
 
 
 class TestBounds:

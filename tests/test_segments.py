@@ -321,6 +321,44 @@ class TestPathQueries:
         assert found == [((5, 5, 5, 5), 0)]
 
 
+class TestReportedVectors:
+    """Each reported vector is checked once per graph and made of shared values."""
+
+    # four blocks of two equilibria each, set far apart: 16 equilibria, n = 18
+    BLOCKS = ((0, 9, 12, 21), (0, 10, 15, 25), (0, 2, 7, 12, 23), (0, 1, 5, 8, 13))
+
+    def test_each_reported_vector_is_checked_once(self, monkeypatch):
+        beliefs = tuple(1000 * i + v for i, block in enumerate(self.BLOCKS) for v in block)
+        inst = GameInstance(k=1, beliefs=beliefs)
+        check = segments._accel.first_unstable
+        calls = []
+
+        def counting(s, z, k):
+            calls.append(z)
+            return check(s, z, k)
+
+        monkeypatch.setattr(segments._accel, "first_unstable", counting)
+        graph = build_segment_graph(inst)
+        best, worst = best_pne(graph), worst_pne(graph)
+        found = enumerate_pne(graph, 64)
+        assert len(found) == 16 and best != worst
+        reported = {z for z, _ in found} | {best[0], worst[0]}
+        assert len(calls) == len(reported) == 16
+        calls.clear()
+        assert enumerate_pne(graph, 64) == found
+        assert calls == []
+
+        fresh = build_segment_graph(inst)
+        assert (best_pne(fresh), worst_pne(fresh), enumerate_pne(fresh, 64)) == (best, worst, found)
+        scale = graph.segments[0].scale
+        assert {tuple(F(v, scale) for v in z) for z in graph._verified} == reported
+        for z, cost in found:
+            assert is_pure_nash(inst, z).is_pne and social_cost(inst, z) == cost
+        # one Fraction per distinct value across the enumeration
+        values = [q for z, _ in found for q in z]
+        assert len({id(q) for q in values}) == len(set(values))
+
+
 class TestOracle:
     def test_quad_matches_enumeration(self, quad):
         assert set(brute_force_pne_oracle(quad)) == {
