@@ -19,7 +19,8 @@ the mixed checks in :mod:`kcof.mixed` and the kernels here all rank through
 :func:`span`; :func:`social_cost` and :func:`first_unstable` are short
 views of it.  The optimizer's descent keeps one :func:`ranked` list per
 player across its moves (:func:`move`); :func:`coordinate_best` reads their
-first k + 1 keys in place and sorts one step's breakpoints once.
+first k + 1 keys in place, sums one step's breakpoints per candidate index
+and sorts those indices once.
 """
 
 from __future__ import annotations
@@ -164,23 +165,27 @@ def coordinate_best(
       max(c_in, |y - z_j|) - c_out on (s_j - d_j, s_j + d_j): at most three
       linear pieces, split at z_j -+ c_in and found by bisection; the tie
       decides at the ends s_j -+ d_j themselves.
-    * Player i's own order by distance to s_i does not depend on y.  One
-      pass over z finds the lowest and highest opinion strictly nearer than
-      the k-th distance d_k (always chosen) and how many sit at s_i - d_k
-      and at s_i + d_k, tied at d_k, where the tie toward y decides whether
-      the farther value is reached.  On y < s_i and on y >= s_i that cost is
-      max(y - P, Q - y), with one kink at (P + Q) / 2.
+    * Player i's own order by distance to s_i does not depend on y.  Its
+      ranking, read up to the k-th distance d_k, gives the lowest and
+      highest opinion strictly nearer than d_k (always chosen) and how many
+      sit at s_i - d_k and at s_i + d_k, tied at d_k, where the tie toward y
+      decides whether the farther value is reached.  On y < s_i and on
+      y >= s_i that cost is max(y - P, Q - y), with one kink at (P + Q) / 2.
 
-    Each breakpoint is an (index, slope change, intercept change) event;
-    the events are sorted once.  Between consecutive event indices the cost
-    is slope * y + intercept, so its minimum over that run of candidates is
-    at the first (slope >= 0, which keeps the smallest value on ties) or the
-    last; only those are evaluated.  A step is O(n (k + log m) + n log n)
-    for m candidates, with no per-candidate work.  Ties prefer the smallest
-    candidate value.
+    The breakpoints' slope and intercept changes are summed per candidate
+    index, one dict entry per index, and the indices are sorted once; a
+    boundary tie that changes nothing adds no entry.  Between consecutive
+    indices the cost is slope * y + intercept, so its minimum over that run
+    of candidates is at the first (slope >= 0, which keeps the smallest
+    value on ties) or the last; only those are evaluated.  A step is
+    O(n (k + log m) + n log n) for m candidates, with no per-candidate work.
+    Ties prefer the smallest candidate value.
     """
     n, m = len(s), len(ys)
-    events = []
+    # candidate index -> change of the slope, of the intercept; every index
+    # with a slope change has an intercept entry
+    slopes, icepts = {}, {}
+    sget, iget = slopes.get, icepts.get
     base = 0
     for j in range(n):
         if j == i:
@@ -202,60 +207,74 @@ def coordinate_best(
             c_out = c_in
             first, stop = 0, m
         else:
-            kth = row[t]
-            d = kth[0]
-            c_out = max(c_in, kth[1])
+            d, e, l = row[t]
+            c_out = e if e > c_in else c_in
             first, stop = bisect_right(ys, sj - d), bisect_left(ys, sj + d)
-            # s_j - d and s_j + d, when candidates, sit at first - 1 and stop
+            # s_j - d and s_j + d, when candidates, sit at first - 1 and stop;
+            # there j chooses i when (|y - z_j|, i) is below (e, l)
             for u in (first - 1, stop) if d else (first - 1,):
-                if 0 <= u < m and abs(ys[u] - sj) == d and (d, abs(ys[u] - zj), i) < kth:
-                    delta = max(c_in, abs(ys[u] - zj)) - c_out
-                    events += ((u, 0, delta), (u + 1, 0, -delta))
+                if 0 <= u < m and abs(ys[u] - sj) == d:
+                    f = abs(ys[u] - zj)
+                    if f < e or (f == e and i < l):
+                        delta = (f if f > c_in else c_in) - c_out
+                        if delta:
+                            icepts[u] = iget(u, 0) + delta
+                            icepts[u + 1] = iget(u + 1, 0) - delta
         base += c_out
         if first < stop:
             # pieces z_j - y (y <= z_j - c_in), c_in, y - z_j (y >= z_j + c_in),
             # each starting where the one before it ends
             p = bisect_right(ys, zj - c_in, first, stop)
             q = bisect_left(ys, zj + c_in, p, stop)
-            events += ((first, -1, zj - c_out), (p, 1, c_in - zj), (q, 1, -zj - c_in))
-            events.append((stop, -1, zj + c_out))
+            slopes[first] = sget(first, 0) - 1
+            icepts[first] = iget(first, 0) + zj - c_out
+            slopes[p] = sget(p, 0) + 1
+            icepts[p] = iget(p, 0) + c_in - zj
+            slopes[q] = sget(q, 0) + 1
+            icepts[q] = iget(q, 0) - zj - c_in
+            slopes[stop] = sget(stop, 0) - 1
+            icepts[stop] = iget(stop, 0) + zj + c_out
 
     si = s[i]
-    d_k = ranks[i][k - 1][0]
+    row = ranks[i]
+    d_k = row[k - 1][0]
     a, b = si - d_k, si + d_k
     lo = hi = si
     inner = at_a = at_b = 0
-    for v in z[:i] + z[i + 1 :]:
-        if a < v < b:
+    for d, _, l in row:
+        if d > d_k:
+            break
+        v = z[l]
+        if d < d_k:
             inner += 1
             lo, hi = min(lo, v), max(hi, v)
         elif v == a:
             at_a += 1
-        elif v == b:
+        else:
             at_b += 1
     # (P, Q) of i's cost on y < s_i and on y >= s_i: the k - inner tied
     # neighbours at distance d_k reach the far side of s_i only when the near
     # side holds fewer than k - inner of them (at y == s_i both cost d_k)
     left = (lo, b) if at_a < k - inner else (a, hi)
     right = (a, hi) if at_b < k - inner else (lo, b)
-    cuts = (si, (sum(left) + 1) // 2, (sum(right) + 1) // 2)  # s_i; first y >= (P + Q) / 2
-    events += [(bisect_left(ys, y), 0, 0) for y in cuts] + [(m, 0, 0)]
-    events.sort()
+    for y in (si, (sum(left) + 1) // 2, (sum(right) + 1) // 2):  # s_i; first y >= (P + Q) / 2
+        icepts.setdefault(bisect_left(ys, y), 0)
+    icepts[m] = 0  # the scan ends here; what changes at m is never read
 
     sl, ic, start = 0, base, 0
     best_cost, best_y = -1, 0
-    for end, ds, di in events:
+    for end in sorted(icepts):
         if end > start:
             y = ys[start]
             low, high = left if y < si else right
             if sl + (1 if 2 * y >= low + high else -1) < 0:
                 y = ys[end - 1]
-            c = max(y - low, high - y) + sl * y + ic
+            c = (y - low if y - low > high - y else high - y) + sl * y + ic
             if best_cost < 0 or c < best_cost:
                 best_cost, best_y = c, y
             if end == m:
                 break
             start = end
-        sl += ds
-        ic += di
+        sl += sget(end, 0)
+        ic += icepts[end]
     return best_cost, best_y

@@ -146,17 +146,23 @@ def _cmd_mixed_check(args) -> int:
     return 0 if ok else 1
 
 
-def _vector_report(opinions, cost) -> dict:
-    return {"opinions": [_R(v) for v in opinions], "social_cost": _R(cost)}
+def _vector_report(opinions, cost, strings: dict) -> dict:
+    """One vector's report.  ``strings`` maps id(value) to its string for one
+    report whose values all stay alive, so a value object that
+    :func:`kcof.segments.enumerate_pne` shares is formatted once."""
+    for v in opinions:
+        if id(v) not in strings:
+            strings[id(v)] = _R(v)
+    return {"opinions": [strings[id(v)] for v in opinions], "social_cost": _R(cost)}
 
 
-def _k1_lines(report: dict, limit: int) -> list[str]:
+def _k1_lines(report: dict, segment_count: int, limit: int) -> list[str]:
     """The text form of a k=1 solve report."""
 
     def vector(entry: dict) -> str:
         return f"SC = {entry['social_cost']}  z = ({', '.join(entry['opinions'])})"
 
-    lines = [f"legit segments: {len(report['legit_segments'])}"]
+    lines = [f"legit segments: {segment_count}"]
     if report["exists_pne"]:
         lines.append(f"best PNE:  {vector(report['best'])}")
         lines.append(f"worst PNE: {vector(report['worst'])}")
@@ -177,24 +183,24 @@ def _cmd_solve(args) -> int:
         graph = segments.build_segment_graph(inst)
         best = segments.best_pne(graph)
         worst = segments.worst_pne(graph)
-        report: dict = {
-            "k": 1,
-            "legit_segments": [
-                {"a": s.a, "b": s.b, "c": s.c, "weight": _R(s.weight)}
-                for s in graph.segments
-            ],
-            "exists_pne": best is not None,
-        }
+        report: dict = {"k": 1}
+        if args.json:  # text mode prints only their count
+            report["legit_segments"] = [
+                {"a": s.a, "b": s.b, "c": s.c, "weight": _R(s.weight)} for s in graph.segments
+            ]
+        report["exists_pne"] = best is not None
+        strings: dict = {}
         if best is not None:
-            report["best"] = _vector_report(*best)
-            report["worst"] = _vector_report(*worst)
+            report["best"] = _vector_report(*best, strings)
+            report["worst"] = _vector_report(*worst, strings)
         if args.enumerate:
             found = segments.enumerate_pne(graph, args.enumerate)
-            report["enumerated"] = [_vector_report(z, c) for z, c in found]
+            report["enumerated"] = [_vector_report(z, c, strings) for z, c in found]
         if args.dot:
             Path(args.dot).write_text(segments.to_dot(graph) + "\n", encoding="utf-8")
             report["dot"] = args.dot
-        _emit(report, args.json, [] if args.json else _k1_lines(report, args.enumerate))
+        lines = [] if args.json else _k1_lines(report, len(graph.segments), args.enumerate)
+        _emit(report, args.json, lines)
         return 0
 
     result = best_response_dynamics(inst, inst.beliefs, max_rounds=args.rounds)

@@ -11,12 +11,13 @@ denominator.  The best coordinate step is often off the grid: for beliefs
 to 17/6 gives 17/6.
 
 A step finds the exact best candidate for one coordinate in integers:
-:func:`kcof._accel.coordinate_best` sorts the breakpoints of the piecewise
-linear cost once and evaluates only the ends of its linear runs, from
-rankings that the descent keeps across its moves.  A descent stops on a
-vector where every step fails, and the later descents of the same call
-stop as soon as they reach such a vector.  The best vector's cost is
-re-checked with the exact ``Fraction`` reference before it is returned.
+:func:`kcof._accel.coordinate_best` sums the breakpoints of the piecewise
+linear cost per candidate index, sorts those indices once and evaluates
+only the ends of its linear runs, from rankings that the descent keeps
+across its moves.  A descent stops on a vector where every step fails, and
+the later descents of the same call stop as soon as they reach such a
+vector, one that starts on it with its stored cost.  The best vector's cost
+is re-checked with the exact ``Fraction`` reference before it is returned.
 """
 
 from __future__ import annotations
@@ -63,24 +64,27 @@ def _grid(inst: GameInstance) -> tuple[int, list[int]]:
 
 
 def _descend(
-    s: list[int], z: list[int], k: int, cands: list[int], max_sweeps: int, stable: set
+    s: list[int], z: list[int], k: int, cands: list[int], max_sweeps: int, stable: dict
 ) -> tuple[int, list[int]]:
     """Coordinate descent to a sweep-stable vector; cost never increases.
 
-    Every player is ranked once with :func:`kcof._accel.ranked`, and
-    :func:`kcof._accel.move` keeps the rankings current, so a step reads
-    them instead of ranking anew.  A coordinate step for i never reads z_i,
-    so once a coordinate has moved, the other n - 1 failing to improve in a
-    row prove the vector stable (with no move yet, all n must fail).  The
-    descent stops there and adds the vector to ``stable``, which the
-    descents of one game and grid share.  One that starts at or moves onto
-    a vector in it returns at once, as its failing steps would have.
+    Every player is ranked once with :func:`kcof._accel.ranked`, which gives
+    the start cost, and :func:`kcof._accel.move` keeps the rankings current
+    for the steps.  A coordinate step for i never reads z_i, so once a
+    coordinate has moved, the other n - 1 failing to improve in a row prove
+    the vector stable (with no move yet, all n must fail).  The descent
+    stops there and stores the vector's cost in ``stable``, which the
+    descents of one game and grid share: one that starts at a stored vector
+    returns that cost without ranking, and one that moves onto one returns
+    at once, as its failing steps would have.
     """
+    known = stable.get(tuple(z))
+    if known is not None:
+        return known, z
     n = len(s)
-    cost = _accel.social_cost(s, z, k)
-    if tuple(z) in stable:
-        return cost, z
     ranks = [_accel.ranked(z, j, s[j], z[j]) for j in range(n)]
+    # j's cost: the farthest of its belief and its first k neighbours
+    cost = sum(max(abs(z[j] - s[j]), *(key[1] for key in ranks[j][:k])) for j in range(n))
     need, fails = n, 0
     for _ in range(max_sweeps):
         for i in range(n):
@@ -94,7 +98,7 @@ def _descend(
             else:
                 fails += 1
                 if fails == need:
-                    stable.add(tuple(z))
+                    stable[tuple(z)] = cost
                     return cost, z
     return cost, z
 
@@ -137,7 +141,7 @@ def optimize_social_cost(
     for _ in range(_RESTARTS):
         start_vectors.append([rng.choice(cand_int) for _ in range(n)])
 
-    stable: set = set()
+    stable: dict = {}
     descents = (
         _descend(s_int, list(z0), inst.k, cand_int, _MAX_SWEEPS, stable) for z0 in start_vectors
     )

@@ -13,11 +13,12 @@ from pathlib import Path
 import pytest
 
 import kcof
-from kcof import GameInstance, load_instance, segments, write_instance
+from kcof import GameInstance, cli, load_instance, segments, write_instance
 from kcof.catalog import catalog_entry
 from kcof.cli import _build_parser, main
 from kcof.instance_io import InstanceFormatError
 from kcof.optimize import MAX_PLAYERS
+from kcof.rationals import format_rational
 
 
 @pytest.fixture
@@ -205,6 +206,35 @@ class TestSolve:
         assert main(["solve", "--enumerate", "8", str(path), "--json"]) == 0
         assert len(json.loads(capsys.readouterr().out)["enumerated"]) == 2
         assert sorted(calls) == [False, True]
+
+    def test_text_mode_reads_no_segment_weight(self, tmp_path, capsys, monkeypatch):
+        # text mode prints how many legit segments there are; only --json lists their weights
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps({"k": 1, "beliefs": ["0", "9", "12", "21"]}))
+        count = len(segments.build_segment_graph(load_instance(str(path)).instance).segments)
+
+        def no_weight(seg):
+            raise AssertionError(f"weight of segment {seg.triple} read")
+
+        monkeypatch.setattr(segments.Segment, "weight", property(no_weight))
+        assert main(["solve", str(path), "--enumerate", "8"]) == 0
+        assert f"legit segments: {count}\n" in capsys.readouterr().out
+
+    def test_each_reported_value_is_formatted_once(self, tmp_path, capsys, monkeypatch):
+        # 12 equal beliefs: the enumerated equilibrium shares one value object
+        path = tmp_path / "equal.json"
+        path.write_text(json.dumps({"k": 1, "beliefs": ["0"] * 12}))
+        formatted = []
+
+        def recording(value):
+            formatted.append(value)
+            return format_rational(value)
+
+        monkeypatch.setattr(cli, "_R", recording)
+        assert main(["solve", str(path), "--enumerate", "8"]) == 0
+        assert "enumerated 1 equilibria" in capsys.readouterr().out
+        # the list keeps every value alive: a repeated id is one object formatted twice
+        assert len(formatted) == len({id(v) for v in formatted})
 
     def test_closed_stdout_ends_quietly(self, tmp_path):
         # 30 equal beliefs: about 160 kB of JSON on one line, more than a pipe

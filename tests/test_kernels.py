@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 from math import lcm
 
 import kcof._accel as accel
@@ -145,26 +147,35 @@ def many_tie_case(rng: random.Random):
 
 
 def row_breakpoints(s, z, k, i):
-    """For each other player j: s_j -+ d_j, the ends of the y range where j
-    may choose i, and z_j -+ c_in, the kinks of j's cost when it does."""
+    """For each other player j, (ends, kinks): s_j -+ d_j, the ends of the y
+    range where j may choose i, and z_j -+ c_in, the kinks of j's cost when
+    it does."""
     n = len(s)
-    ends, kinks = set(), set()
+    rows = {}
     for j in range(n):
         if j == i:
             continue
         keys = sorted((abs(z[l] - s[j]), abs(z[l] - z[j]), l) for l in range(n) if l not in (i, j))
         c_in = max([abs(z[j] - s[j])] + [key[1] for key in keys[: k - 1]])
-        kinks |= {z[j] - c_in, z[j] + c_in}
-        if k < n - 1:
-            d = keys[k - 1][0]
-            ends |= {s[j] - d, s[j] + d}
-    return ends, kinks
+        ends = (s[j] - keys[k - 1][0], s[j] + keys[k - 1][0]) if k < n - 1 else ()
+        rows[j] = (ends, (z[j] - c_in, z[j] + c_in))
+    return rows
 
 
 def case_features(s, z, k, i, cands):
     others = [v for j, v in enumerate(z) if j != i]
     d_k = sorted(abs(v - s[i]) for v in others)[k - 1]
-    ends, kinks = row_breakpoints(s, z, k, i)
+    rows = row_breakpoints(s, z, k, i)
+    ends = {y for row_ends, _ in rows.values() for y in row_ends}
+    kinks = {y for _, row_kinks in rows.values() for y in row_kinks}
+    # the candidate indices where each player's pieces start: the first
+    # candidate above s_j - d_j or z_j - c_in, at or above s_j + d_j or z_j + c_in
+    ys = sorted(set(cands))
+    starts = []
+    for pairs in rows.values():
+        pairs = [pair for pair in pairs if pair]
+        lows = {bisect_right(ys, lo) for lo, _ in pairs}
+        starts.append(lows | {bisect_left(ys, hi) for _, hi in pairs})
     return {
         "k = n-1": k == len(s) - 1,
         "d_k = 0": d_k == 0,
@@ -174,6 +185,9 @@ def case_features(s, z, k, i, cands):
         "candidate equal to another opinion": any(y in others for y in cands),
         "candidate equal to s_j +- d_j for some j": any(y in ends for y in cands),
         "candidate equal to z_j +- c_in for some j": any(y in kinks for y in cands),
+        "two breakpoints on one candidate index": any(
+            (a & b) - {len(ys)} for a, b in combinations(starts, 2)
+        ),
     }
 
 
@@ -194,7 +208,7 @@ class TestCoordinateBest:
             moved = [F(v, 7) for v in z]
             moved[i] = F(y, 7)
             assert social_cost(inst, moved) == F(cost, 7)
-        assert len(seen) == 6 and min(seen.values()) >= 200, seen
+        assert len(seen) == 7 and min(seen.values()) >= 200, seen
 
     def test_matches_brute_force_on_dense_grids(self):
         # many-tie cases at 2f times the scale, with every integer of the

@@ -168,7 +168,7 @@ class TestDescent:
         for _ in range(600):
             s, z, k, cands = many_tie_descent_case(rng)
             max_sweeps = rng.choice((1, 2, 3, 200))
-            assert _descend(s, list(z), k, cands, max_sweeps, set()) == full_sweep_descent(
+            assert _descend(s, list(z), k, cands, max_sweeps, {}) == full_sweep_descent(
                 s, list(z), k, cands, max_sweeps
             ), (s, z, k, cands, max_sweeps)
 
@@ -187,7 +187,7 @@ class TestDescent:
             s, z, k, cands = many_tie_descent_case(rng)
             n = len(s)
             seen.clear()
-            cost, result = _descend(s, list(z), k, cands, 200, set())
+            cost, result = _descend(s, list(z), k, cands, 200, {})
             # a move changes the vector, so the last move is the last call
             # after which the vector differs
             after = seen[1:] + [tuple(result)]
@@ -199,7 +199,7 @@ class TestDescent:
                 assert len(seen) == n
             # from a stable start: one failed step per coordinate, no move
             seen.clear()
-            assert _descend(s, list(result), k, cands, 200, set()) == (cost, result)
+            assert _descend(s, list(result), k, cands, 200, {}) == (cost, result)
             assert len(seen) == n
         assert moved >= 300, moved
 
@@ -210,12 +210,12 @@ class TestSharedStableVectors:
         hits = 0  # descents that started at or moved onto a known stable vector
 
         def alone(s, z, k, cands, max_sweeps, stable):
-            return real(s, z, k, cands, max_sweeps, set())
+            return real(s, z, k, cands, max_sweeps, {})
 
         def shared(s, z, k, cands, max_sweeps, stable):
             nonlocal hits
             known = set(stable)
-            own_end = real(s, list(z), k, cands, max_sweeps, set())
+            own_end = real(s, list(z), k, cands, max_sweeps, {})
             cost, result = real(s, z, k, cands, max_sweeps, stable)
             assert (cost, result) == own_end, (s, k, cands)
             hits += tuple(result) in known
@@ -232,3 +232,43 @@ class TestSharedStableVectors:
             monkeypatch.setattr(optimize, "_descend", shared)
             assert optimize_social_cost(inst, starts) == expected, (inst, starts)
         assert hits >= 300, hits
+
+
+def forbidden(name):
+    def call(*args):
+        raise AssertionError(f"{name} called")
+
+    return call
+
+
+class TestStoredCosts:
+    def test_start_cost_read_from_the_rankings(self):
+        # with no sweep the descent returns its start cost
+        rng = random.Random(0x5C0)
+        for _ in range(500):
+            s, z, k, cands = many_tie_descent_case(rng)
+            assert _descend(s, list(z), k, cands, 0, {}) == (_accel.social_cost(s, z, k), z)
+
+    def test_optimizer_makes_no_social_cost_pass(self, monkeypatch):
+        monkeypatch.setattr(_accel, "social_cost", forbidden("_accel.social_cost"))
+        rng = random.Random(0x5C1)
+        for _ in range(40):
+            n = rng.randint(2, 8)
+            inst = GameInstance(
+                k=rng.randint(1, n - 1), beliefs=tuple(sorted(rng.randint(0, 6) for _ in range(n)))
+            )
+            z, cost = optimize_social_cost(inst)  # the exact re-check still runs
+            assert social_cost(inst, z) == cost
+
+    def test_start_on_a_stored_stable_vector_does_no_work(self, monkeypatch):
+        rng = random.Random(0x5C2)
+        for _ in range(200):
+            s, z, k, cands = many_tie_descent_case(rng)
+            stable = {}
+            cost, result = _descend(s, list(z), k, cands, 200, stable)
+            assert stable == {tuple(result): cost}
+            assert cost == _accel.social_cost(s, result, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(_accel, "ranked", forbidden("_accel.ranked"))
+                patch.setattr(_accel, "coordinate_best", forbidden("_accel.coordinate_best"))
+                assert _descend(s, list(result), k, cands, 200, stable) == (cost, result)
