@@ -6,21 +6,21 @@ of their denominators.  Python ints never overflow, so any scale is exact.
 
 :func:`ranked` defines the neighbour tie rule: it orders all of a player's
 candidate neighbours.  A check needs only the first k + 1, the opinions
-nearest the belief s_i, so it sorts the opinions once (:func:`sorted_view`)
-and :func:`nearest` reads the run around s_i, which yields exactly the
-prefix of :func:`ranked` in O(log n + k log k) per player (plus any
-opinions equal to the lowest of the run); a differential test pins the two
-together on many-tie inputs.  :func:`span` reads that view, which its
-caller sorts once per vector, and takes the first k and the interval
-[lo, hi] spanning s_i and their opinions: the best reply is its midpoint,
-tested without division as 2*z_i == lo + hi, and the cost of z_i is the
-distance to its far end.  The ``Fraction`` API in :mod:`kcof.game`,
-the mixed checks in :mod:`kcof.mixed` and the kernels here all rank through
-:func:`span`; :func:`social_cost` and :func:`first_unstable` are short
-views of it.  The optimizer's descent keeps one :func:`ranked` list per
-player across its moves (:func:`move`); :func:`coordinate_best` reads their
-first k + 1 keys in place, sums one step's breakpoints per candidate index
-and sorts those indices once.
+nearest the belief s_i, and of them only the span's ends and whether the
+k-th ties with the next.  So it sorts the opinions once per vector
+(:func:`sorted_view`), and :func:`span` walks out from s_i through the
+sorted values one group of equal values at a time, in O(log n) per group,
+to the interval [lo, hi] spanning s_i and the first k opinions of
+:func:`ranked`; a differential test pins the two together on many-tie
+inputs.  The best reply is the interval's midpoint, tested without
+division as 2*z_i == lo + hi, and the cost of z_i is the distance to its
+far end.  The ``Fraction`` API in :mod:`kcof.game`, the mixed checks in
+:mod:`kcof.mixed` and the kernels here all rank through :func:`span`;
+:func:`social_cost` and :func:`first_unstable` are short views of it.  The
+optimizer's descent keeps one :func:`ranked` list per player across its
+moves (:func:`move`); :func:`coordinate_best` reads their first k + 1 keys
+in place, sums one step's breakpoints per candidate index and sorts those
+indices once.
 """
 
 from __future__ import annotations
@@ -47,66 +47,87 @@ def ranked(z: Sequence, i: int, si, ref) -> list[tuple]:
     return sorted((abs(v - si), abs(v - ref), j) for j, v in enumerate(z) if j != i)
 
 
-def sorted_view(z: Sequence[int]) -> list[tuple[int, int]]:
-    """Every (z_j, j), sorted: the players in order of opinion, ties by index."""
-    return sorted(zip(z, range(len(z))))
-
-
-def nearest(
-    view: Sequence[tuple[int, int]], i: int, si: int, ref: int, count: int
-) -> list[tuple[int, int, int]]:
-    """``ranked(z, i, si, ref)[:count]``, read from ``view = sorted_view(z)``.
-
-    The opinions nearest s_i are a run of the view around s_i: the count + 1
-    entries from the first opinion >= s_i upward and the count + 1 below it
-    (i is at most one of each).  Below s_i the distance falls as the position
-    rises, and one value's entries tie on both distances, so the run is
-    widened down to the start of its lowest value's group, whose smallest
-    indices rank first.  Sorting the run's keys merges the two sides by the
-    full key.  Two bisections and a sort of about 2 count keys, plus the
-    size of that group.
-    """
-    mid = bisect_left(view, (si,))
-    low = mid - count - 1
-    low = bisect_left(view, (view[low][0],), 0, low) if low > 0 else 0
-    keys = [(abs(v - si), abs(v - ref), j) for v, j in view[low : mid + count + 1] if j != i]
-    keys.sort()
-    return keys[:count]
+def sorted_view(z: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The opinions in increasing order, and the players in that order, ties by index."""
+    order = sorted(range(len(z)), key=z.__getitem__)
+    return [z[j] for j in order], order
 
 
 def span(
-    s: Sequence[int],
-    z: Sequence[int],
-    k: int,
-    i: int,
-    ref: int,
-    view: Sequence[tuple[int, int]],
-) -> tuple[list[int], bool, int, int]:
-    """One ranking of player i's candidates at the integer scale.
+    s: Sequence[int], z: Sequence[int], k: int, i: int, ref: int, view: tuple[list, list]
+) -> tuple[bool, int, int]:
+    """(tie, lo, hi) of player i's ranking, read from ``view = sorted_view(z)``.
 
-    Returns the k chosen neighbours, whether the k-th and (k+1)-th are tied
-    on distance to s_i, and the ends of the span of s_i and the neighbours'
-    opinions.  ``ref`` is the tie reference of :func:`ranked`; ``view`` is
-    ``sorted_view(z)``.
+    ``tie``: the k-th and (k+1)-th of ``ranked(z, i, s_i, ref)`` are equally
+    far from s_i; [lo, hi] spans s_i and the first k opinions.  The walk takes
+    the nearer group of equal values, below s_i or at or above it (i is not
+    counted), until k are taken; a group is chosen from its smallest index up.
+    Two groups at one distance are ordered by ``ref``, and when ref = s_i by
+    the indices: a side is reached when fewer than the count still wanted of
+    the other side's indices are below its smallest.  O(log n) per group.
     """
-    order = nearest(view, i, s[i], ref, k + 1)
-    tie = len(order) > k and order[k - 1][0] == order[k][0]
-    chosen = [j for _, _, j in order[:k]]
-    lo = hi = s[i]
-    for j in chosen:
-        v = z[j]
-        if v < lo:
-            lo = v
-        elif v > hi:
-            hi = v
-    return chosen, tie, lo, hi
+    vals, order = view
+    n = len(vals)
+    si, zi = s[i], z[i]
+    lo = hi = si
+    # the groups: vals[a:ae] below s_i, vals[b:be] at or above it, at
+    # distances dl and dr, with cl and cr members other than i (None: none left)
+    ae = be = bisect_left(vals, si)
+    dl = dr = None
+    dk = -1  # the distance of the last group taken
+    need = k
+    while need:
+        while dl is None and ae:
+            a = ae - 1
+            v = vals[a]
+            if a and vals[a - 1] == v:
+                a = bisect_left(vals, v, 0, a)
+            cl = ae - a - (v == zi)
+            if cl:
+                dl = si - v
+            else:
+                ae = a
+        while dr is None and be < n:
+            b = be
+            v = vals[b]
+            be += 1
+            if be < n and vals[be] == v:
+                be = bisect_right(vals, v, be)
+            cr = be - b - (v == zi)
+            if cr:
+                dr = v - si
+        if dl is None and dr is None:
+            break
+        if dl == dr and ref == si and cl + cr > need:
+            # two index runs, each sorted, without i; a side is reached when
+            # its smallest index is among the need smallest of both
+            fl = order[a] if order[a] != i else order[a + 1]
+            fr = order[b] if order[b] != i else order[b + 1]
+            if bisect_left(order, fl, b, be) - b - (zi == vals[b] and i < fl) < need:
+                lo = si - dl
+            if bisect_left(order, fr, a, ae) - a - (zi == vals[a] and i < fr) < need:
+                hi = si + dr
+            return True, lo, hi
+        if dr is None or (dl is not None and (dl < dr or (dl == dr and ref < si))):
+            lo, dk = si - dl, dl
+            if cl > need:
+                break
+            need -= cl
+            dl, ae = None, a
+        else:
+            hi, dk = si + dr, dr
+            if cr > need:
+                break
+            need -= cr
+            dr = None
+    return dl == dk or dr == dk, lo, hi
 
 
 def social_cost(s: Sequence[int], z: Sequence[int], k: int) -> int:
     view = sorted_view(z)
     total = 0
     for i, zi in enumerate(z):
-        _, _, lo, hi = span(s, z, k, i, zi, view)
+        _, lo, hi = span(s, z, k, i, zi, view)
         total += max(zi - lo, hi - zi)
     return total
 
@@ -118,7 +139,7 @@ def first_unstable(s: Sequence[int], z: Sequence[int], k: int) -> int:
     """
     view = sorted_view(z)
     for i, zi in enumerate(z):
-        _, _, lo, hi = span(s, z, k, i, zi, view)
+        _, lo, hi = span(s, z, k, i, zi, view)
         if 2 * zi != lo + hi:
             return i
     return -1

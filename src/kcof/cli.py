@@ -28,7 +28,7 @@ from .catalog import recompute
 from .game import GameInstance, best_response_dynamics, check_pure
 from .instance_io import load_instance, write_instance
 from .optimize import optimize_social_cost
-from .rationals import format_rational, parse_rational
+from .rationals import format_ratio, format_rational, parse_rational
 
 _R = format_rational
 
@@ -186,7 +186,8 @@ def _cmd_solve(args) -> int:
         report: dict = {"k": 1}
         if args.json:  # text mode prints only their count
             report["legit_segments"] = [
-                {"a": s.a, "b": s.b, "c": s.c, "weight": _R(s.weight)} for s in graph.segments
+                {"a": s.a, "b": s.b, "c": s.c, "weight": format_ratio(s.w_int, s.scale)}
+                for s in graph.segments
             ]
         report["exists_pne"] = best is not None
         strings: dict = {}

@@ -13,13 +13,14 @@ Inside, a check scales the beliefs and opinions once to integers with
 overflow), sorts the opinions once (:func:`kcof._accel.sorted_view`) and
 ranks each player once with :func:`kcof._accel.span`, the one place that
 applies the neighbour tie rule and takes the interval spanning s_i and the
-chosen opinions.  A ranking walks out from s_i through the sorted opinions
-and reads only the k + 1 nearest (plus any opinions equal to the lowest of
-them), so :func:`check_pure` takes the verdict, the player costs, the social
-cost and the structure flags from one pass in O(n log n + n k log k) for n
-players, not a sort of n - 1 keys per player.  A player's cost, best reply
-and structure flags are read from its result; the two views of it are
-:func:`is_pure_nash`, the dynamics' stopping test, and :func:`social_cost`.
+chosen opinions.  It walks out from s_i through the sorted values, one
+group of equal values at a time, until k opinions are taken, so
+:func:`check_pure` takes the verdict, the player costs, the social cost and
+the structure flags from one pass in O(n k log n) for n players (a walk
+finds at most k + 2 groups, by one bisection each), not a sort of n - 1
+keys per player.  A player's cost, best reply and structure flags are read
+from its result; the two views of it are :func:`is_pure_nash`, the
+dynamics' stopping test, and :func:`social_cost`.
 
 Distance ties when ranking neighbor candidates break toward the player's own
 opinion first and then toward the smallest index (:func:`kcof._accel.ranked`).
@@ -40,6 +41,7 @@ and the result is exactly the one that running them gives.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,11 +110,13 @@ def as_opinions(inst: GameInstance, values: Iterable) -> Opinions:
     return z
 
 
-def _owner(z: Sequence[int], chosen: Sequence[int], i: int, si: int, value: int) -> int:
-    """Who attains an end of player i's interval: i first, then the smallest index."""
-    if value == si or value == z[i]:
+def _owner(view: tuple[list[int], list[int]], i: int, si: int, zi: int, value: int) -> int:
+    """Who attains an end of player i's interval: i first, then the smallest
+    index of the end's group in ``view``, since a group is chosen from it up."""
+    if value == si or value == zi:
         return i
-    return min(j for j in chosen if z[j] == value)
+    vals, order = view
+    return order[bisect_left(vals, value)]
 
 
 @dataclass(frozen=True)
@@ -162,10 +166,10 @@ def check_pure(inst: GameInstance, z: Sequence) -> PureCheck:
 
     The opinions are sorted once, at the integer scale of the beliefs and
     opinions, and each player is ranked once by walking out from her belief
-    through them.  From the ranking come the chosen neighbours, the
-    boundary-tie flag, and the span [lo, hi] of s_i and their opinions: z_i
-    is a best reply exactly when 2 z_i = lo + hi, and the player's cost is
-    max(z_i - lo, hi - z_i).  The structure flags are
+    through them.  From the walk come the boundary-tie flag and the span
+    [lo, hi] of s_i and the chosen neighbours' opinions: z_i is a best reply
+    exactly when 2 z_i = lo + hi, and the player's cost is max(z_i - lo,
+    hi - z_i).  The structure flags are
 
     - ``monotone``: z_i <= z_{i+1} wherever s_i < s_{i+1};
     - ``in_belief_range``: z_i lies between the beliefs of the owners of the
@@ -190,7 +194,7 @@ def check_pure(inst: GameInstance, z: Sequence) -> PureCheck:
     in_range = consecutive = True
     for i in range(n):
         si, zi = s[i], zs[i]
-        chosen, tie, lo, hi = span(s, zs, k, i, zi, view)
+        tie, lo, hi = span(s, zs, k, i, zi, view)
         tie_seen = tie_seen or tie
         cost = max(zi - lo, hi - zi)
         costs.append(cost)
@@ -199,7 +203,7 @@ def check_pure(inst: GameInstance, z: Sequence) -> PureCheck:
                 Violation(i, Fraction(lo + hi, 2 * d), Fraction(2 * cost - (hi - lo), 2 * d))
             )
         lo, hi = min(lo, zi), max(hi, zi)
-        if not s[_owner(zs, chosen, i, si, lo)] <= zi <= s[_owner(zs, chosen, i, si, hi)]:
+        if not s[_owner(view, i, si, zi, lo)] <= zi <= s[_owner(view, i, si, zi, hi)]:
             in_range = False
         if consecutive and not any(
             min(si, wlo) == lo and max(si, whi) == hi

@@ -7,16 +7,17 @@ scale for all opinions and beliefs from :func:`kcof._accel.scaled` (and each
 player's probabilities as integers over their own lcm denominator, from the
 same function).  Per realization it sorts the opinions once
 (:func:`kcof._accel.sorted_view`) and ranks every player with
-:func:`kcof._accel.span`, which walks out from her belief to her k + 1
-nearest opinions; from the spans it takes every player's cost and every
-player's deviation interval.  The verdict, the expected player and social
-costs and each player's best deterministic deviation are fields of its
-:class:`MixedCheck`.  A realization costs O(n log n + n k log k), with at
-most two walks per player.  The cap :data:`MAX_WORK` bounds realizations x
-n^2, which keeps the largest admitted profile to seconds rather than
-hours.  That bound is loose for large n (a walk reads about 2k + 2
-opinions, not n - 1), and it stays the admission rule so that the same
-profiles are admitted.
+:func:`kcof._accel.span`, which walks out from her belief through the
+sorted values, one group of equal values at a time, to her k nearest
+opinions; from the spans it takes every player's cost and every player's
+deviation interval.  The verdict, the expected player and social costs and
+each player's best deterministic deviation are fields of its
+:class:`MixedCheck`.  A realization costs O(n k log n), with at most two
+walks per player.  The cap :data:`MAX_WORK` bounds realizations x n^2,
+which keeps the largest admitted profile to seconds rather than hours.
+That bound is loose for large n (a walk finds at most k + 2 groups, not
+n - 1 opinions), and it stays the admission rule so that the same profiles
+are admitted.
 
 A profile is a mixed Nash equilibrium when no player can lower her expected
 cost with any deterministic opinion.  Against a fixed realization of the
@@ -182,12 +183,12 @@ def check_mixed(inst: GameInstance, rz: Sequence) -> MixedCheck:
             w *= pr
         view = sorted_view(z)
         for i, zi in enumerate(z):
-            _, _, lo, hi = span(s, z, k, i, zi, view)
+            _, lo, hi = span(s, z, k, i, zi, view)
             totals[i] += w * max(zi - lo, hi - zi)
             op0, w0 = first[i]
             if zi == op0:
                 if ref[i] != zi:
-                    _, _, lo, hi = span(s, z, k, i, ref[i], view)
+                    _, lo, hi = span(s, z, k, i, ref[i], view)
                 spans[i][lo, hi] += w // w0
 
     costs = tuple(Fraction(t, d * q) for t in totals)

@@ -8,6 +8,7 @@ ties, and a single rounded comparison would corrupt verdicts.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 # Unicode minus/dash variants occasionally found in hand-written input files.
 _DASHES = {"−": "-", "–": "-", "—": "-"}
@@ -44,3 +45,14 @@ def format_rational(value: Fraction) -> str:
     """Render a Fraction as "3" or "-21/2" (inverse of parse_rational)."""
     return str(value)
 
+
+
+def format_ratio(num: int, den: int) -> str:
+    """``format_rational(Fraction(num, den))`` for den > 0, with the common power
+    of two shifted out: only the odd part of den, short for segment scales, meets gcd."""
+    if not num:
+        return "0"
+    t = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
+    num, den = num >> t, den >> t
+    g = gcd(num, den >> (den & -den).bit_length() - 1)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"

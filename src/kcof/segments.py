@@ -26,10 +26,10 @@ tests use non-strict comparisons, so at exact distance ties a path may
 describe an equilibrium that only exists under a different tie rule than
 ours.  That test applies the tie rule of
 :func:`kcof._accel.ranked`, as :func:`kcof.game.is_pure_nash` does: it sorts
-the vector's opinions once and walks out from each belief to the nearest
-opinion (:func:`kcof._accel.nearest`, the prefix of the full ranking), so a
-re-check costs one sort and a short walk per player, not a sort of n - 1
-keys per player.  :func:`brute_force_pne_oracle` checks its candidates the
+the vector's opinions once and, through :func:`kcof._accel.span`, walks out
+from each belief to the nearest group of equal opinions on either side, so
+a re-check costs one sort and a few bisections per player, with no key
+tuples and no sort per player.  :func:`brute_force_pne_oracle` checks its candidates the
 same way.
 
 Indices are 0-based throughout (a segment is a triple ``a <= b < c``).

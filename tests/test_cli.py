@@ -18,7 +18,7 @@ from kcof.catalog import catalog_entry
 from kcof.cli import _build_parser, main
 from kcof.instance_io import InstanceFormatError
 from kcof.optimize import MAX_PLAYERS
-from kcof.rationals import format_rational
+from kcof.rationals import format_ratio, format_rational
 
 
 @pytest.fixture
@@ -219,6 +219,30 @@ class TestSolve:
         monkeypatch.setattr(segments.Segment, "weight", property(no_weight))
         assert main(["solve", str(path), "--enumerate", "8"]) == 0
         assert f"legit segments: {count}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "beliefs",
+        [
+            ["0"] * 6 + ["1"] * 6,
+            ["-7/3", "0", "1/6", "9", "12", "21", "22", "22", "40"],
+            ["5"] * 3 + ["6"] * 4,
+        ],
+    )
+    def test_json_weights_are_the_exact_fractions(self, beliefs, tmp_path, capsys):
+        # the weight strings are reduced by shifts, not by a gcd of the scale
+        path = tmp_path / "k1.json"
+        path.write_text(json.dumps({"k": 1, "beliefs": beliefs}))
+        graph = segments.build_segment_graph(load_instance(str(path)).instance)
+        assert main(["solve", str(path), "--json"]) == 0
+        weights = [seg["weight"] for seg in json.loads(capsys.readouterr().out)["legit_segments"]]
+        assert weights == [format_rational(seg.weight) for seg in graph.segments]
+        assert len(set(weights)) > 1
+
+    def test_format_ratio_matches_the_fraction(self, rng):
+        for _ in range(5000):
+            den = rng.choice((1, 3, 5, 9, 21, 2**61 - 1)) << rng.randint(0, 90)
+            num = rng.choice((0, 1, -1, rng.randint(-(10**9), 10**9))) << rng.randint(0, 90)
+            assert format_ratio(num, den) == format_rational(F(num, den)), (num, den)
 
     def test_each_reported_value_is_formatted_once(self, tmp_path, capsys, monkeypatch):
         # 12 equal beliefs: the enumerated equilibrium shares one value object

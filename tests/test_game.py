@@ -32,12 +32,14 @@ Z_EQUILIBRIUM = (F(-7, 2), F(3), F(4))
 
 
 def _span(inst, z, i):
-    """Player i's chosen neighbours, and the interval spanning s_i, z_i and
-    their opinions, from one :func:`kcof._accel.span`."""
+    """Player i's chosen neighbours, the first k of :func:`kcof._accel.ranked`,
+    and the interval spanning s_i, z_i and their opinions, from one
+    :func:`kcof._accel.span`."""
     d, ints = accel.scaled((*inst.beliefs, *as_opinions(inst, z)))
     s, zs = ints[: inst.n], ints[inst.n :]
-    chosen, _, lo, hi = accel.span(s, zs, inst.k, i, zs[i], accel.sorted_view(zs))
-    return set(chosen), F(min(lo, zs[i]), d), F(max(hi, zs[i]), d)
+    chosen = {j for _, _, j in accel.ranked(zs, i, s[i], zs[i])[: inst.k]}
+    _, lo, hi = accel.span(s, zs, inst.k, i, zs[i], accel.sorted_view(zs))
+    return chosen, F(min(lo, zs[i]), d), F(max(hi, zs[i]), d)
 
 
 def _best_reply(inst, z, i):

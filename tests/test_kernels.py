@@ -28,7 +28,7 @@ def assert_matches_reference(s, z, k):
     assert accel.social_cost(s, z, k) == social_cost(inst, zf)
     costs = check_pure(inst, zf).player_costs
     for i in range(len(s)):
-        _, _, lo, hi = accel.span(s, z, k, i, z[i], accel.sorted_view(z))
+        _, lo, hi = accel.span(s, z, k, i, z[i], accel.sorted_view(z))
         assert max(z[i] - lo, hi - z[i]) == costs[i]
     assert (accel.first_unstable(s, z, k) == -1) == is_pure_nash(inst, zf).is_pne
 
@@ -91,9 +91,13 @@ class TestTieRule:
         for _ in range(200):
             s, z, k = random_case(rng)
             for i in range(len(s)):
-                chosen = set(accel.span(s, z, k, i, z[i], accel.sorted_view(z))[0])
+                chosen = {j for _, _, j in accel.ranked(z, i, s[i], z[i])[:k]}
                 assert len(chosen) == k
                 assert_tie_rule(s, z, i, chosen)
+                # the walk spans exactly s_i and the chosen opinions
+                ends = [s[i]] + [z[j] for j in chosen]
+                _, lo, hi = accel.span(s, z, k, i, z[i], accel.sorted_view(z))
+                assert (lo, hi) == (min(ends), max(ends))
 
 
 class TestKeptRankings:
