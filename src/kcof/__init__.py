@@ -25,14 +25,12 @@ belief and chosen neighbours (:func:`kcof._accel.span`).
 
 from .bounds import (
     PoaBracket,
-    SmallChainConditions,
     eta,
     opt_lower_bound_1,
     opt_lower_bound_k,
     pne_player_cost_cap,
     pne_player_cost_cap_1,
     poa_bracket,
-    small_chain_conditions,
     star_window,
 )
 from .catalog import CatalogEntry, ReferenceVector, catalog, catalog_entry, verify_entry

@@ -124,6 +124,8 @@ def span(
 
 
 def social_cost(s: Sequence[int], z: Sequence[int], k: int) -> int:
+    """The integer social cost; no library code calls it, but tests hold the
+    optimizer's descent and :func:`coordinate_best` to it."""
     view = sorted_view(z)
     total = 0
     for i, zi in enumerate(z):

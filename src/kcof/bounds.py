@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 from . import segments
 from .game import GameInstance, check_pure, social_cost
 from .optimize import optimize_social_cost
-from .rationals import to_fraction
 
 __all__ = [
     "star_window",
@@ -26,8 +25,6 @@ __all__ = [
     "opt_lower_bound_1",
     "pne_player_cost_cap",
     "pne_player_cost_cap_1",
-    "SmallChainConditions",
-    "small_chain_conditions",
     "PoaBracket",
     "poa_bracket",
 ]
@@ -90,25 +87,6 @@ def pne_player_cost_cap_1(inst: GameInstance, i: int) -> Fraction:
     if inst.k != 1:
         raise ValueError("this cap applies to k=1 games only")
     return abs(inst.beliefs[i] - inst.beliefs[eta(inst, i)])
-
-
-@dataclass(frozen=True)
-class SmallChainConditions:
-    """Necessary conditions on a middle belief for two three-player pointer
-    patterns to coexist with an equilibrium (non-strict, exact)."""
-
-    case1_ok: bool  # s_b >= (3 s_a + 5 s_c) / 8
-    case2_ok: bool  # s_b <= (5 s_a + 3 s_c) / 8
-
-
-def small_chain_conditions(s_a, s_b, s_c) -> SmallChainConditions:
-    a, b, c = to_fraction(s_a), to_fraction(s_b), to_fraction(s_c)
-    if not a <= b <= c:
-        raise ValueError("need s_a <= s_b <= s_c")
-    return SmallChainConditions(
-        case1_ok=b >= (3 * a + 5 * c) / 8,
-        case2_ok=b <= (5 * a + 3 * c) / 8,
-    )
 
 
 @dataclass(frozen=True)

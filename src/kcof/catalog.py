@@ -2,9 +2,10 @@
 
 Every entry carries vectors whose costs and equilibrium verdicts are known in
 closed form as functions of the parameters (lam for the chain/block families,
-eps for the no-equilibrium gadget).  Nothing is trusted: by default the
-catalog re-derives each verdict and cost with the corresponding solver module
-at construction time and raises on any mismatch.
+eps for the no-equilibrium gadget).  :func:`catalog` only builds the entries;
+:func:`verify_entry` re-derives each verdict and cost with the solver modules
+and raises on any mismatch, and :func:`catalog_entry` verifies the entry it
+returns.
 
 Defaults lam=1/2, eps=1/8 sit in the interior of the allowed parameter
 ranges.
@@ -374,7 +375,7 @@ def catalog_entry(
     eps: Fraction = Fraction(1, 8),
 ) -> CatalogEntry:
     """Build a single entry by name and verify it (see :func:`catalog` for applicability)."""
-    entries = {e.name: e for e in catalog(k, lam, eps, verify=False)}
+    entries = {e.name: e for e in catalog(k, lam, eps)}
     if name not in entries:
         raise KeyError(f"catalog entry {name!r} is not applicable to k={k}")
     verify_entry(entries[name])
@@ -385,12 +386,11 @@ def catalog(
     k: int,
     lam: Fraction | int | str = Fraction(1, 2),
     eps: Fraction | int | str = Fraction(1, 8),
-    verify: bool = True,
 ) -> list[CatalogEntry]:
-    """All catalog entries applicable to neighborhood size k.
+    """All catalog entries applicable to neighborhood size k, unverified.
 
-    lam must lie in (0,1) and eps in (0,1/4).  With verify=True (default)
-    every reference vector is re-checked by the solver modules.
+    lam must lie in (0,1) and eps in (0,1/4).  :func:`verify_entry` checks
+    an entry.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -418,8 +418,4 @@ def catalog(
     if k >= 2:
         entries.append(_poa_blocks(k, lam))
         entries.append(_mpoa_blocks(k, lam))
-
-    if verify:
-        for entry in entries:
-            verify_entry(entry)
     return entries

@@ -45,14 +45,13 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _pure_check_report(inst: GameInstance, opinions) -> tuple[dict, list[str], bool]:
+def _pure_check_report(inst: GameInstance, opinions) -> dict:
     checked = check_pure(inst, opinions)
-    verdict, costs, sc = checked.verdict, checked.player_costs, checked.social_cost
-    structure = checked.structure
-    report = {
+    verdict, structure = checked.verdict, checked.structure
+    return {
         "pne": verdict.is_pne,
-        "social_cost": _R(sc),
-        "player_costs": [_R(c) for c in costs],
+        "social_cost": _R(checked.social_cost),
+        "player_costs": [_R(c) for c in checked.player_costs],
         "tie_seen": verdict.tie_seen,
         "violations": [
             {
@@ -68,16 +67,20 @@ def _pure_check_report(inst: GameInstance, opinions) -> tuple[dict, list[str], b
             "consecutive_neighborhoods": structure.consecutive_neighborhoods,
         },
     }
+
+
+def _pure_lines(report: dict) -> list[str]:
+    """The text form of a pure check report."""
     lines = [
-        f"PNE: {'yes' if verdict.is_pne else 'no'}, SC = {_R(sc)}",
-        "player costs: " + ", ".join(_R(c) for c in costs),
+        f"PNE: {'yes' if report['pne'] else 'no'}, SC = {report['social_cost']}",
+        "player costs: " + ", ".join(report["player_costs"]),
     ]
-    if verdict.tie_seen:
+    if report["tie_seen"]:
         lines.append("note: an exact neighbor-distance tie occurred during verification")
-    for v in verdict.violations:
+    for v in report["violations"]:
         lines.append(
-            f"  player {v.player} improves by moving to {_R(v.best_reply)}"
-            f" (cost drop {_R(v.cost_drop)})"
+            f"  player {v['player']} improves by moving to {v['best_reply']}"
+            f" (cost drop {v['cost_drop']})"
         )
     lines.append(
         "structure: monotone={monotone} in_belief_range={in_belief_range} "
@@ -85,35 +88,38 @@ def _pure_check_report(inst: GameInstance, opinions) -> tuple[dict, list[str], b
             **report["structure"]
         )
     )
-    return report, lines, verdict.is_pne
+    return lines
 
 
-def _mixed_check_report(inst: GameInstance, rz) -> tuple[dict, list[str], bool]:
+def _mixed_check_report(inst: GameInstance, rz) -> dict:
     checked = mixed_mod.check_mixed(inst, rz)
-    verdict, expected, esc = checked.verdict, checked.expected_costs, checked.expected_social_cost
-    report = {
-        "mne": verdict.is_mne,
-        "expected_social_cost": _R(esc),
-        "expected_player_costs": [_R(c) for c in expected],
+    return {
+        "mne": checked.verdict.is_mne,
+        "expected_social_cost": _R(checked.expected_social_cost),
+        "expected_player_costs": [_R(c) for c in checked.expected_costs],
         "violations": [
             {
                 "player": v.player,
                 "deviation": _R(v.deviation),
                 "improvement": _R(v.improvement),
             }
-            for v in verdict.violations
+            for v in checked.verdict.violations
         ],
     }
+
+
+def _mixed_lines(report: dict) -> list[str]:
+    """The text form of a mixed check report."""
     lines = [
-        f"MNE: {'yes' if verdict.is_mne else 'no'}, E[SC] = {_R(esc)}",
-        "expected player costs: " + ", ".join(_R(c) for c in expected),
+        f"MNE: {'yes' if report['mne'] else 'no'}, E[SC] = {report['expected_social_cost']}",
+        "expected player costs: " + ", ".join(report["expected_player_costs"]),
     ]
-    for v in verdict.violations:
+    for v in report["violations"]:
         lines.append(
-            f"  player {v.player} improves by deviating to {_R(v.deviation)}"
-            f" (expected improvement {_R(v.improvement)})"
+            f"  player {v['player']} improves by deviating to {v['deviation']}"
+            f" (expected improvement {v['improvement']})"
         )
-    return report, lines, verdict.is_mne
+    return lines
 
 
 def _cmd_check(args) -> int:
@@ -124,15 +130,13 @@ def _cmd_check(args) -> int:
     lines: list[str] = []
     ok = True
     if doc.opinions is not None:
-        sub, sublines, good = _pure_check_report(doc.instance, doc.opinions)
-        report["pure"] = sub
-        lines.extend(sublines)
-        ok = ok and good
+        sub = report["pure"] = _pure_check_report(doc.instance, doc.opinions)
+        lines += [] if args.json else _pure_lines(sub)
+        ok = sub["pne"]
     if doc.mixed is not None:
-        sub, sublines, good = _mixed_check_report(doc.instance, doc.mixed)
-        report["mixed"] = sub
-        lines.extend(sublines)
-        ok = ok and good
+        sub = report["mixed"] = _mixed_check_report(doc.instance, doc.mixed)
+        lines += [] if args.json else _mixed_lines(sub)
+        ok = ok and sub["mne"]
     _emit(report, args.json, lines)
     return 0 if ok else 1
 
@@ -141,9 +145,9 @@ def _cmd_mixed_check(args) -> int:
     doc = load_instance(args.file)
     if doc.mixed is None:
         return _fail('the file must contain a "mixed" field')
-    report, lines, ok = _mixed_check_report(doc.instance, doc.mixed)
-    _emit(report, args.json, lines)
-    return 0 if ok else 1
+    report = _mixed_check_report(doc.instance, doc.mixed)
+    _emit(report, args.json, [] if args.json else _mixed_lines(report))
+    return 0 if report["mne"] else 1
 
 
 def _vector_report(opinions, cost, strings: dict) -> dict:
@@ -285,7 +289,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_catalog(args) -> int:
     lam = parse_rational(args.lam)
     eps = parse_rational(args.epsilon)
-    entries = build_catalog(args.k, lam, eps, verify=False)
+    entries = build_catalog(args.k, lam, eps)
 
     rows = []
     for entry in entries:

@@ -112,9 +112,10 @@ class Segment:
 
     ``z_int`` holds the opinions of players a..c and ``w_int`` the weight
     (the sum of |z_p - s_p|), both times ``scale``; :attr:`opinions` and
-    :attr:`weight` are their exact values, made on access.  ``legit``
-    requires the boundary condition (a != 1 and c != n-2, so the block can
-    take part in a full decomposition) plus pairwise consistency.
+    :attr:`weight` are their exact values, made on access.  Every segment is
+    legit: a != 1 and c != n-2, so the block can take part in a full
+    decomposition, and each member's designated neighbour is weakly closest
+    to her belief among the members.
     """
 
     a: int
@@ -123,8 +124,6 @@ class Segment:
     z_int: tuple[int, ...]
     w_int: int
     scale: int
-    legit: bool
-    pairwise_consistent: bool
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -139,24 +138,21 @@ class Segment:
         return Fraction(self.w_int, self.scale)
 
 
-def build_segment(inst: GameInstance, a: int, b: int, c: int) -> Segment:
-    """Compute one segment's forced opinions, weight, and legitimacy."""
+def build_segment(inst: GameInstance, a: int, b: int, c: int) -> Optional[Segment]:
+    """Segment (a, b, c) from its closed forms, or None when it is not legit.
+
+    The per-triple reference that :func:`build_segment_graph` is tested
+    against: it checks every pair of members (:func:`_consistency`).
+    """
     _require_k1(inst)
     if not 0 <= a <= b < c < inst.n:
         raise ValueError(f"need 0 <= a <= b < c < n, got ({a}, {b}, {c}) with n={inst.n}")
     s_int, scale = _scale(inst)
     z = _segment_opinions(s_int, a, b, c)
-    pairwise = _consistency(s_int, z, a, b, c)
-    return Segment(
-        a=a,
-        b=b,
-        c=c,
-        z_int=tuple(z),
-        w_int=sum(abs(z[p - a] - s_int[p]) for p in range(a, c + 1)),
-        scale=scale,
-        legit=pairwise and a != 1 and c != inst.n - 2,
-        pairwise_consistent=pairwise,
-    )
+    if a == 1 or c == inst.n - 2 or not _consistency(s_int, z, a, b, c):
+        return None
+    w = sum(abs(z[p - a] - s_int[p]) for p in range(a, c + 1))
+    return Segment(a, b, c, tuple(z), w, scale)
 
 
 @dataclass(frozen=True)
@@ -248,7 +244,7 @@ def build_segment_graph(inst: GameInstance) -> SegmentGraph:
             if not starts[a] or starts[a][-1][0] != b:
                 starts[a].append((b, z[0], z[1], []))
             starts[a][-1][3].append(len(segs))
-            segs.append(Segment(a, b, c, z, w, scale, legit=True, pairwise_consistent=True))
+            segs.append(Segment(a, b, c, z, w, scale))
 
     out_of: dict[tuple[int, int], tuple[int, ...]] = {}
     successors: list[tuple[int, ...]] = []

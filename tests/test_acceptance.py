@@ -27,7 +27,6 @@ from kcof import (
     optimize_social_cost,
     pne_player_cost_cap,
     pne_player_cost_cap_1,
-    small_chain_conditions,
     social_cost,
     worst_pne,
 )
@@ -103,8 +102,6 @@ def test_criterion_03_nonexistence_gadget():
     checks = []
     inst1 = GameInstance(k=1, beliefs=(0, 1 - eps, 2))
     checks.append(("k=1: no source-sink path", not exists_pne(build_segment_graph(inst1))))
-    chain = small_chain_conditions(0, 1 - eps, 2)
-    checks.append(("middle belief fails the first chain condition", not chain.case1_ok))
     for k in (2, 3):
         inst = GameInstance(k=k, beliefs=(0,) * k + (1 - eps,) + (2,) * k)
         result = best_response_dynamics(inst, inst.beliefs, max_rounds=10_000)

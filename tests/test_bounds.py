@@ -1,4 +1,4 @@
-"""Closed-form lower bounds, cost caps, chain conditions, PoA brackets."""
+"""Closed-form lower bounds, cost caps, PoA brackets."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from kcof import (
     pne_player_cost_cap,
     pne_player_cost_cap_1,
     poa_bracket,
-    small_chain_conditions,
     social_cost,
     star_window,
 )
@@ -164,25 +163,6 @@ class TestCostCaps:
                 assert caps / lower == 4 * (k + 1)
             else:
                 assert caps == 0
-
-
-class TestSmallChain:
-    def test_gadget_fails_case1(self):
-        check = small_chain_conditions(0, F(7, 8), 2)
-        assert not check.case1_ok
-
-    def test_boundary_is_inclusive(self):
-        check = small_chain_conditions(0, F(5, 4), 2)  # exactly (3*0 + 5*2)/8
-        assert check.case1_ok
-
-    def test_chain_middle_player_fails_both(self):
-        lam = F(1, 10)
-        check = small_chain_conditions(F(0), 5 - 3 * lam, F(8))
-        assert not check.case1_ok and not check.case2_ok
-
-    def test_order_validated(self):
-        with pytest.raises(ValueError):
-            small_chain_conditions(2, 1, 3)
 
 
 class TestPoaBracket:

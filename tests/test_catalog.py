@@ -1,7 +1,8 @@
-"""Catalog construction, load-time verification, and file round trips."""
+"""Catalog construction, entry verification, and file round trips."""
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -17,6 +18,8 @@ from kcof.catalog import (
     catalog_entry,
     verify_entry,
 )
+
+catalog_mod = importlib.import_module("kcof.catalog")  # the package's `catalog` is the function
 
 
 class TestApplicability:
@@ -70,13 +73,25 @@ class TestVerification:
             verify_entry(entry)  # raises on any mismatch
 
     def test_small_lambda_verifies(self):
-        catalog(1, lam=F(1, 100))
-        catalog(3, lam=F(1, 100))
+        for k in (1, 3):
+            for entry in catalog(k, lam=F(1, 100)):
+                verify_entry(entry)
 
     @pytest.mark.parametrize("lam", [F(3, 4), F(4, 5), F(99, 100)])
     def test_large_lambda_verifies(self, lam):
         # pos_chain's near_opt cost changes form at lam = 2/3 and 4/5
-        catalog(1, lam=lam, verify=True)
+        for entry in catalog(1, lam=lam):
+            verify_entry(entry)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_catalog_only_builds(self, k, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("catalog() re-derived a reference")
+
+        monkeypatch.setattr(catalog_mod, "recompute", forbidden)
+        assert catalog(k)
+        with pytest.raises(AssertionError, match="re-derived"):
+            verify_entry(catalog(k)[-1])
 
     def test_expected_values_parameterized(self):
         lam = F(1, 5)
@@ -126,7 +141,7 @@ class TestVerificationFails:
 class TestRoundTrip:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_every_reference_round_trips(self, k, tmp_path):
-        for entry in catalog(k, verify=False):
+        for entry in catalog(k):
             path = tmp_path / f"{entry.name}.json"
             write_instance(path, entry.instance)
             doc = load_instance(path)

@@ -356,6 +356,48 @@ class TestJsonReports:
         assert main(["solve", "--json", "--enumerate", "4", str(cat / "k1/two_pne_quad.json")]) == 0
         assert json.loads(capsys.readouterr().out) == self.QUAD_REPORT
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "argv, values",
+        [
+            (["check", "k2/pos_quad__equilibrium.json"], 5),
+            (["check", "k1/intro_triple__observed.json"], 10),  # three violations
+            (["mixed-check", "k1/mpoa_chain__mixed_equilibrium.json"], 7),
+            (["check", "both.json"], 20),  # a pure and a mixed part, each with violations
+        ],
+    )
+    def test_check_formats_each_reported_value_once(
+        self, argv, values, mode, cat, tmp_path, capsys, monkeypatch
+    ):
+        both = {
+            "k": 1,
+            "beliefs": ["-10", "2", "5"],
+            "opinions": ["-10", "-5", "4"],
+            "mixed": [[["-10", "1"]], [["2", "1"]], [["5", "1"]]],
+        }
+        (tmp_path / "both.json").write_text(json.dumps(both))
+        argv = [argv[0], str((tmp_path if argv[1] == "both.json" else cat) / argv[1])]
+
+        def strings(node) -> int:
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                return sum(map(strings, node))
+            return isinstance(node, str)
+
+        status = main(argv + ["--json"])
+        assert strings(json.loads(capsys.readouterr().out)) == values
+        formatted = []
+
+        def recording(value):
+            formatted.append(value)
+            return format_rational(value)
+
+        monkeypatch.setattr(cli, "_R", recording)
+        assert main(argv + mode) == status
+        capsys.readouterr()
+        assert len(formatted) == values
+
 
 class TestBounds:
     def test_chain_report(self, tmp_path, capsys):

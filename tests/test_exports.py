@@ -34,4 +34,4 @@ def test_package_imports_only_listed_names():
                 assert alias.name in module.__all__, f"{alias.name} is not in {module.__name__}.__all__"
                 assert getattr(kcof, alias.name) is getattr(module, alias.name)
                 imported += 1
-    assert imported == 47
+    assert imported == 45

@@ -69,7 +69,7 @@ class TestPlayerCap:
 
     def test_no_catalog_instance_is_refused(self):
         for k in range(1, 9):
-            assert all(e.instance.n <= MAX_PLAYERS for e in catalog(k, verify=False))
+            assert all(e.instance.n <= MAX_PLAYERS for e in catalog(k))
 
 
 class TestKnownValues:

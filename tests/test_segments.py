@@ -43,29 +43,27 @@ class TestBuildSegment:
     def test_closed_forms_left_pair(self, quad):
         seg = build_segment(quad, 0, 0, 1)
         assert seg.opinions == (3, 6)
-        assert seg.legit
 
     def test_closed_forms_right_pair(self, quad):
         seg = build_segment(quad, 2, 2, 3)
         assert seg.opinions == (15, 18)
-        assert seg.legit
 
     def test_full_block(self, quad):
         seg = build_segment(quad, 0, 1, 3)
         assert seg.opinions == (5, 10, 11, 16)
-        assert seg.legit
 
     def test_inconsistent_block_rejected(self, quad):
         # pivot at the first player: player 1's designated neighbor is player 0,
         # but player 2's opinion lands exactly on player 1's belief
-        seg = build_segment(quad, 0, 0, 3)
-        assert seg.opinions == (3, 6, 9, 15)
-        assert not seg.legit
-        assert not seg.pairwise_consistent
+        s_int, scale = segments._scale(quad)
+        z = segments._segment_opinions(s_int, 0, 0, 3)
+        assert [F(v, scale) for v in z] == [3, 6, 9, 15]
+        assert not segments._consistency(s_int, z, 0, 0, 3)
+        assert build_segment(quad, 0, 0, 3) is None
 
     def test_boundary_fields(self, quad):
-        assert not build_segment(quad, 1, 1, 3).legit  # a == 1
-        assert not build_segment(quad, 0, 0, 2).legit  # c == n-2
+        assert build_segment(quad, 1, 1, 3) is None  # a == 1
+        assert build_segment(quad, 0, 0, 2) is None  # c == n-2
 
     def test_two_player_thirds(self):
         inst = GameInstance(k=1, beliefs=(0, 3))
@@ -151,7 +149,7 @@ class TestGraphAgainstSingleSegments:
                 for b in range(a, n - 1)
                 for c in range(b + 1, n)
             ]
-            legit = [seg for seg in every if seg.legit]
+            legit = [seg for seg in every if seg is not None]
             # same segments, opinions and weights, in lexicographic triple order
             assert graph.segments == tuple(legit)
             for u, seg in enumerate(legit):
@@ -205,7 +203,7 @@ class TestGraphGrowsLongChains:
                 for a in range(n)
                 for b in range(a, n - 1)
                 for c in range(b + 1, n)
-                if (seg := build_segment(inst, a, b, c)).legit
+                if (seg := build_segment(inst, a, b, c)) is not None
             )
             assert graph.segments == legit, s
             # the wiring in integers, at the segments' common scale

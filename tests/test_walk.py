@@ -120,7 +120,7 @@ class TestOwners:
 def _catalog_cases():
     """Every catalog reference vector for k = 1, 2, 3, 5 and 8."""
     for k in (1, 2, 3, 5, 8):
-        for entry in catalog(k, verify=False):
+        for entry in catalog(k):
             for ref in entry.references:
                 yield entry.instance, ref
 
