@@ -20,7 +20,8 @@ Every check and solver works on the pure-Python integer core of
 :mod:`kcof._accel` (``kernel_backend`` is always ``"python"``), which defines
 each piece once: the integer scale (:func:`kcof._accel.scaled`), the
 neighbour tie rule (:func:`kcof._accel.ranked`) and the span of a player's
-belief and chosen neighbours (:func:`kcof._accel.span`).
+belief and chosen neighbours (:func:`kcof._accel.span`).  Every check and
+solver reads the integer beliefs of :attr:`GameInstance.s_int`, made once.
 """
 
 from .bounds import (

@@ -1,8 +1,9 @@
 """The integer core: the one scale, the neighbour tie rule and the span.
 
 Everything that decides an equilibrium or a cost works on plain ints at one
-shared scale: :func:`scaled` multiplies the beliefs and opinions by the lcm
-of their denominators.  Python ints never overflow, so any scale is exact.
+shared scale: :func:`scaled` multiplies values by the lcm of their
+denominators, once per instance for the beliefs (``GameInstance.s_int`` at
+``GameInstance.scale``).  Python ints never overflow, so any scale is exact.
 
 :func:`ranked` defines the neighbour tie rule: it orders all of a player's
 candidate neighbours.  A check needs only the first k + 1, the opinions

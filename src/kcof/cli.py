@@ -214,24 +214,29 @@ def _cmd_solve(args) -> int:
         "dynamics_outcome": result.outcome,
         "rounds": result.rounds,
     }
-    lines = [
-        f"k={inst.k}: best-response dynamics from the beliefs "
-        f"ran {result.rounds} rounds, outcome: {result.outcome}"
-    ]
     if result.outcome == "converged":
         checked = check_pure(inst, result.opinions)
-        verdict, sc = checked.verdict, checked.social_cost
         report["opinions"] = [_R(v) for v in result.opinions]
-        report["social_cost"] = _R(sc)
-        report["pne"] = verdict.is_pne
+        report["social_cost"] = _R(checked.social_cost)
+        report["pne"] = checked.verdict.is_pne
+    _emit(report, args.json, [] if args.json else _dynamics_lines(report))
+    return 0
+
+
+def _dynamics_lines(report: dict) -> list[str]:
+    """The text form of a k >= 2 solve report."""
+    lines = [
+        f"k={report['k']}: best-response dynamics from the beliefs "
+        f"ran {report['rounds']} rounds, outcome: {report['dynamics_outcome']}"
+    ]
+    if "opinions" in report:
         lines.append(
-            f"found PNE: {'yes' if verdict.is_pne else 'no'}, SC = {_R(sc)}, "
-            f"z = ({', '.join(_R(v) for v in result.opinions)})"
+            f"found PNE: {'yes' if report['pne'] else 'no'}, SC = {report['social_cost']}, "
+            f"z = ({', '.join(report['opinions'])})"
         )
     else:
         lines.append("no pure Nash equilibrium found")
-    _emit(report, args.json, lines)
-    return 0
+    return lines
 
 
 def _cmd_bounds(args) -> int:
@@ -250,27 +255,32 @@ def _cmd_bounds(args) -> int:
         "ratio_upper": None if bracket.ratio_upper is None else _R(bracket.ratio_upper),
         "ratio_upper_unbounded": bracket.ratio_upper_unbounded,
     }
-    lines = [f"opt lower bound (window form): {report['opt_lower_bound_k']}"]
     if inst.k == 1:
-        lb1 = bounds_mod.opt_lower_bound_1(inst)
-        report["opt_lower_bound_1"] = _R(lb1)
-        lines.append(f"opt lower bound (nearest-belief form): {_R(lb1)}")
+        report["opt_lower_bound_1"] = _R(bounds_mod.opt_lower_bound_1(inst))
         caps1 = [bounds_mod.pne_player_cost_cap_1(inst, i) for i in range(inst.n)]
         report["player_cost_caps_1"] = [_R(c) for c in caps1]
+    _emit(report, args.json, [] if args.json else _bounds_lines(report))
+    return 0
+
+
+def _bounds_lines(report: dict) -> list[str]:
+    """The text form of a bounds report."""
+    lines = [f"opt lower bound (window form): {report['opt_lower_bound_k']}"]
+    if "opt_lower_bound_1" in report:
+        lines.append(f"opt lower bound (nearest-belief form): {report['opt_lower_bound_1']}")
     lines.append("per-player PNE cost caps: " + ", ".join(report["player_cost_caps"]))
     lines.append(f"optimal social cost in [{report['opt_lower']}, {report['opt_upper']}]")
-    if bracket.worst_pne_cost is None:
+    if report["worst_pne_cost"] is None:
         lines.append("worst PNE cost: unavailable (no equilibrium known)")
     else:
         lines.append(f"worst PNE cost: {report['worst_pne_cost']}")
-        if bracket.ratio_lower is not None:
+        if report["ratio_lower"] is not None:
             lines.append(f"instance PoA >= {report['ratio_lower']}")
-        if bracket.ratio_upper_unbounded:
+        if report["ratio_upper_unbounded"]:
             lines.append("instance PoA upper estimate: unbounded (lower bound is zero)")
-        elif bracket.ratio_upper is not None:
+        elif report["ratio_upper"] is not None:
             lines.append(f"instance PoA <= {report['ratio_upper']}")
-    _emit(report, args.json, lines)
-    return 0
+    return lines
 
 
 def _cmd_optimize(args) -> int:
@@ -278,11 +288,11 @@ def _cmd_optimize(args) -> int:
     starts = [doc.opinions] if doc.opinions is not None else []
     z, cost = optimize_social_cost(doc.instance, starts=starts)
     report = {"opinions": [_R(v) for v in z], "social_cost": _R(cost)}
-    _emit(
-        report,
-        args.json,
-        [f"SC <= {_R(cost)}", f"z = ({', '.join(_R(v) for v in z)})"],
-    )
+    lines = [] if args.json else [
+        f"SC <= {report['social_cost']}",
+        f"z = ({', '.join(report['opinions'])})",
+    ]
+    _emit(report, args.json, lines)
     return 0
 
 

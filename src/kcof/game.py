@@ -8,8 +8,9 @@ midpoint of the shortest interval spanning her belief and those neighbor
 opinions, which makes pure-equilibrium verification an exact midpoint test.
 
 Inputs and results are ``fractions.Fraction`` and every comparison is exact.
-Inside, a check scales the beliefs and opinions once to integers with
-:func:`kcof._accel.scaled` (exact for any size, since Python ints do not
+Inside, a check reads the beliefs as integers from :class:`GameInstance`,
+which scales them once (``s_int`` at ``scale``), puts the opinions on a
+common scale with them (:meth:`GameInstance.at`; Python ints never
 overflow), sorts the opinions once (:func:`kcof._accel.sorted_view`) and
 ranks each player once with :func:`kcof._accel.span`, the one place that
 applies the neighbour tie rule and takes the interval spanning s_i and the
@@ -43,7 +44,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -71,14 +72,17 @@ Opinions = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class GameInstance:
-    """Neighborhood size k plus the sorted belief vector."""
+    """Neighborhood size k plus the sorted belief vector, and the beliefs as
+    integers: ``s_int``, the beliefs times ``scale``, their lcm denominator."""
 
     k: int
     beliefs: Opinions
     labels: Optional[tuple[str, ...]] = None
+    scale: int = field(init=False, repr=False, compare=False)
+    s_int: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise ValueError("k must be a positive integer")
         beliefs = tuple(to_fraction(b) for b in self.beliefs)
         object.__setattr__(self, "beliefs", beliefs)
@@ -96,10 +100,19 @@ class GameInstance:
             if len(labels) != n:
                 raise ValueError("labels length must equal the number of players")
             object.__setattr__(self, "labels", labels)
+        scale, s_int = scaled(beliefs)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "s_int", tuple(s_int))
 
     @property
     def n(self) -> int:
         return len(self.beliefs)
+
+    def at(self, values: Sequence[Fraction]) -> tuple[int, list[int], list[int]]:
+        """(d, the beliefs times d, the values times d) at the lcm d of
+        ``scale`` and the values' denominators."""
+        d, ints = scaled((Fraction(1, self.scale), *values))
+        return d, [v * ints[0] for v in self.s_int], ints[1:]
 
 
 def as_opinions(inst: GameInstance, values: Iterable) -> Opinions:
@@ -184,8 +197,7 @@ def check_pure(inst: GameInstance, z: Sequence) -> PureCheck:
     """
     zz = as_opinions(inst, z)
     n, k = inst.n, inst.k
-    d, ints = scaled((*inst.beliefs, *zz))
-    s, zs = ints[:n], ints[n:]
+    d, s, zs = inst.at(zz)
     view = sorted_view(zs)
     windows = [(min(zs[a : a + k + 1]), max(zs[a : a + k + 1])) for a in range(n - k)]
     costs = []
@@ -259,7 +271,7 @@ MAX_ROUNDS = 1_000_000  # a skip still builds the state after all max_rounds rou
 _STATE_WINDOW = 10_000  # bounded memory for cycle detection and tried patterns
 _MAX_PERIOD = 4  # longest period of interval patterns tested for a shrinking cycle
 
-_State = tuple[int, Sequence[int]]  # (denominator, opinions times it)
+_State = tuple[int, Sequence[int]]  # (m, opinions times inst.scale * m)
 
 
 def _solve_pattern(
@@ -277,8 +289,7 @@ def _solve_pattern(
     weak diagonal dominance, so a zero pivot comes with a zero row, and no
     row swaps are needed.  Returns None exactly when the system is singular.
     """
-    n = inst.n
-    scale, s = scaled(inst.beliefs)
+    n, s = inst.n, inst.s_int
     rows = []
     for i, ends in enumerate(pattern):
         row = [0] * (n + 1)
@@ -304,7 +315,7 @@ def _solve_pattern(
     for i in range(n - 1, -1, -1):
         row = rows[i]
         y[i] = (det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
-    return tuple(Fraction(v, det * scale) for v in y)
+    return tuple(Fraction(v, det * inst.scale) for v in y)
 
 
 def _interval(z: Sequence[int], si: int, order: Sequence[tuple], k: int):
@@ -322,18 +333,21 @@ def _interval(z: Sequence[int], si: int, order: Sequence[tuple], k: int):
     return lo, hi, (lo_at, hi_at)
 
 
-def _set_midpoint(s: list[int], z: list[int], i: int, total: int):
-    """Set z_i = total / 2; an odd total doubles the scale of s and z first.
-
-    Returns (s, z, doubled).
-    """
+def _set_midpoint(z: list[int], i: int, total: int) -> tuple[list[int], bool]:
+    """Set z_i = total / 2, doubling the scale of z first if total is odd; (z, doubled)."""
     if total % 2 == 0:
         z[i] = total // 2
-        return s, z, False
-    s = [2 * v for v in s]
+        return z, False
     z = [2 * v for v in z]
     z[i] = total
-    return s, z, True
+    return z, True
+
+
+def _forced(s: Sequence[int], state: _State, i: int, owners: tuple[int, int]) -> _State:
+    """:func:`_set_midpoint` of player i's interval with the given owners (-1: s_i * m)."""
+    m, z = state
+    z, doubled = _set_midpoint(z, i, sum(z[j] if j >= 0 else s[i] * m for j in owners))
+    return m << doubled, z
 
 
 def _ratio(new: _State, mid: _State, old: _State) -> Optional[tuple[int, int]]:
@@ -362,9 +376,9 @@ def _ratio(new: _State, mid: _State, old: _State) -> Optional[tuple[int, int]]:
     return a // g, b // g
 
 
-def _signs(s: Sequence[int], z: Sequence[int], i: int, chosen: Sequence[int]) -> list[int]:
+def _signs(si: int, z: Sequence[int], i: int, chosen: Sequence[int]) -> list[int]:
     """Signs of z_j - s_i and z_j - z_i (every j) and z_j - z_l (j, l chosen)."""
-    si, zi = s[i], z[i]
+    zi = z[i]
     return (
         [(v > si) - (v < si) for v in z]
         + [(v > zi) - (v < zi) for v in z]
@@ -375,7 +389,7 @@ def _signs(s: Sequence[int], z: Sequence[int], i: int, chosen: Sequence[int]) ->
 def _agree(k: int, first: tuple, second: tuple, i: int, owners: tuple[int, int]) -> bool:
     """Whether player i's update has the given owners everywhere between two states.
 
-    ``first`` and ``second`` are (s, z) at one integer scale each.  Player
+    ``first`` and ``second`` are (s_i, z) at one integer scale each.  Player
     i's full ranking must order the other players alike at both, the owners
     at ``first`` must be ``owners``, and z_j - s_i, z_j - z_i (every j) and
     z_j - z_l (j, l among the k chosen) must each have the same sign (-, 0
@@ -385,12 +399,12 @@ def _agree(k: int, first: tuple, second: tuple, i: int, owners: tuple[int, int])
     order throughout: every comparison of the update has one outcome.
     """
     (sa, za), (sb, zb) = first, second
-    order = ranked(za, i, sa[i], za[i])
-    if [j for _, _, j in order] != [j for _, _, j in ranked(zb, i, sb[i], zb[i])]:
+    order = ranked(za, i, sa, za[i])
+    if [j for _, _, j in order] != [j for _, _, j in ranked(zb, i, sb, zb[i])]:
         return False
     chosen = [j for _, _, j in order[:k]]
     return (
-        _interval(za, sa[i], order, k)[2] == owners
+        _interval(za, sa, order, k)[2] == owners
         and _signs(sa, za, i, chosen) == _signs(sb, zb, i, chosen)
     )
 
@@ -403,17 +417,14 @@ def _certify(
     Both ends run one period with the patterns forced, and every update
     must pass :func:`_agree` between them.
     """
-    runs = []
-    for denom, z in ends:
-        runs.append(([b.numerator * (denom // b.denominator) for b in inst.beliefs], list(z)))
+    s = inst.s_int
+    runs = [(m, list(z)) for m, z in ends]
     for pattern in patterns:
         for i, owners in enumerate(pattern):
-            if not _agree(inst.k, runs[0], runs[1], i, owners):
+            (ma, za), (mb, zb) = runs
+            if not _agree(inst.k, (s[i] * ma, za), (s[i] * mb, zb), i, owners):
                 return False
-            for t, (s, z) in enumerate(runs):
-                total = sum(z[j] if j >= 0 else s[i] for j in owners)
-                s, z, _ = _set_midpoint(s, z, i, total)
-                runs[t] = (s, z)
+            runs = [_forced(s, run, i, owners) for run in runs]
     return True
 
 
@@ -436,19 +447,17 @@ class _CycleWatch:
     certificate failed is not certified again.
     """
 
-    def __init__(self, inst: GameInstance, denom: int, z: Sequence[int]) -> None:
+    def __init__(self, inst: GameInstance, m: int, z: Sequence[int]) -> None:
         self.inst = inst
-        self.history: deque = deque([(denom, tuple(z), None)], maxlen=2 * _MAX_PERIOD + 1)
+        self.history: deque = deque([(m, tuple(z), None)], maxlen=2 * _MAX_PERIOD + 1)
         self.streak = [0] * (_MAX_PERIOD + 1)  # rounds repeating the pattern p rounds back
         self.tests = [0] * (_MAX_PERIOD + 1)  # ratio tests left in that streak
         self.refused: set = set()
 
-    def skip(
-        self, denom: int, z: Sequence[int], pattern: tuple, left: int
-    ) -> Optional[Opinions]:
-        """Record a round; the state ``left`` rounds on once a cycle is proved."""
+    def skip(self, m: int, z: Sequence[int], pattern: tuple, left: int) -> Optional[Opinions]:
+        """Record a round's state (m, z); the state ``left`` rounds on once a cycle is proved."""
         history, streak, tests = self.history, self.streak, self.tests
-        history.append((denom, tuple(z), pattern))
+        history.append((m, tuple(z), pattern))
         for p in range(1, _MAX_PERIOD + 1):
             if len(history) <= p or pattern != history[-1 - p][2]:
                 streak[p] = 0
@@ -475,28 +484,24 @@ class _CycleWatch:
         self, patterns: tuple, mid: tuple, rate: tuple[int, int], left: int
     ) -> Optional[Opinions]:
         """The state ``left`` rounds on if the certificate holds, else None."""
-        beliefs = self.inst.beliefs
-        denom, z, _ = self.history[-1]
+        m, z, _ = self.history[-1]
         a, b = rate
-        scale = lcm(denom, mid[0])
-        f, g = scale // denom, scale // mid[0]
+        scale = lcm(m, mid[0])
+        f, g = scale // m, scale // mid[0]
         step = [u * f - v * g for u, v in zip(z, mid[1])]  # d, at scale
         limit = (scale * (b - a), [u * f * (b - a) + a * e for u, e in zip(z, step)])
-        if not _certify(self.inst, ((denom, z), limit), patterns):
+        if not _certify(self.inst, ((m, z), limit), patterns):
             return None
         p = len(patterns)
         periods, q = divmod(left, p)
         bj = b**periods
         c = a * (bj - a**periods) // (b - a)  # b^j (lambda + ... + lambda^j)
-        denom = scale * bj
-        s = [v.numerator * (denom // v.denominator) for v in beliefs]
-        z = [u * f * bj + c * e for u, e in zip(z, step)]
+        state = (scale * bj, [u * f * bj + c * e for u, e in zip(z, step)])
         for pattern in patterns[:q]:
             for i, owners in enumerate(pattern):
-                total = sum(z[j] if j >= 0 else s[i] for j in owners)
-                s, z, doubled = _set_midpoint(s, z, i, total)
-                denom *= 2 if doubled else 1
-        return tuple(Fraction(v, denom) for v in z)
+                state = _forced(self.inst.s_int, state, i, owners)
+        m, z = state
+        return tuple(Fraction(v, self.inst.scale * m) for v in z)
 
 
 def best_response_dynamics(
@@ -539,25 +544,26 @@ def best_response_dynamics(
     certified at most once; a run without a certificate goes on round by
     round.
 
-    The state is kept as integers over one shared denominator (which doubles
-    only when a midpoint is odd), so long runs stay fast; Fractions are
-    reconstructed on demand.
+    The state is integers z over d0 * 2**e, with d0 and the beliefs s0 from
+    :meth:`GameInstance.at`, belief i read as s0_i << e.  An odd midpoint
+    doubles z; after a round z is halved while e > 0 and all of it is even,
+    so equal states hash equally.  Fractions are reconstructed on demand.
     """
     if not 1 <= max_rounds <= MAX_ROUNDS:
         raise ValueError(f"max_rounds {max_rounds} is outside 1 to {MAX_ROUNDS}, the dynamics cap")
     start = as_opinions(inst, z0)
 
     n, k = inst.n, inst.k
-    denom, ints = scaled((*inst.beliefs, *start))
-    s, z = ints[:n], ints[n:]
+    d0, s0, z = inst.at(start)
+    e, f = 0, d0 // inst.scale  # the watch's states are over inst.scale * (f << e)
 
     def snapshot() -> Opinions:
-        return tuple(Fraction(v, denom) for v in z)
+        return tuple(Fraction(v, d0 << e) for v in z)
 
     def state_key() -> bytes:
-        # binary encoding: decimal conversion of huge denominators is capped
+        # binary encoding: decimal conversion of huge numerators is capped
         h = hashlib.blake2b(digest_size=16)
-        for v in (denom, *z):
+        for v in (e, *z):
             blob = v.to_bytes((v.bit_length() + 8) // 8 + 1, "big", signed=True)
             h.update(len(blob).to_bytes(4, "big"))
             h.update(blob)
@@ -565,30 +571,23 @@ def best_response_dynamics(
 
     seen: dict[bytes, int] = {state_key(): 0}
     tried: set[tuple[tuple[int, int], ...]] = set()
-    watch = _CycleWatch(inst, denom, z)
+    watch = _CycleWatch(inst, f, z)
     pattern: list[tuple[int, int]] = [(-1, -1)] * n
 
     for rounds in range(1, max_rounds + 1):
         changed = False
         for i in range(n):
-            si, zi = s[i], z[i]
+            si, zi = s0[i] << e, z[i]
             lo, hi, pattern[i] = _interval(z, si, ranked(z, i, si, zi), k)
             total = lo + hi
             if total == 2 * zi:
                 continue
             changed = True
-            s, z, doubled = _set_midpoint(s, z, i, total)
-            if doubled:
-                denom *= 2
-        # renormalize the shared scale so equal states hash equally
-        shift = 0
-        while denom % 2 == 0 and all(v % 2 == 0 for v in z) and all(v % 2 == 0 for v in s):
-            s = [v // 2 for v in s]
+            z, doubled = _set_midpoint(z, i, total)
+            e += doubled
+        while e and all(v % 2 == 0 for v in z):
             z = [v // 2 for v in z]
-            denom //= 2
-            shift += 1
-            if shift > 64:
-                break
+            e -= 1
         frozen = tuple(pattern)
         if not changed:
             candidate = snapshot()
@@ -606,7 +605,7 @@ def best_response_dynamics(
         if len(seen) < _STATE_WINDOW:
             seen[key] = rounds
         if rounds < max_rounds:
-            last = watch.skip(denom, z, frozen, max_rounds - rounds)
+            last = watch.skip(f << e, z, frozen, max_rounds - rounds)
             if last is not None:
                 return DynamicsResult("exhausted", last, max_rounds)
     return DynamicsResult("exhausted", snapshot(), max_rounds)

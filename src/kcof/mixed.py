@@ -3,14 +3,14 @@
 Players randomize independently over finite opinion supports.  Expectations
 are computed by enumerating the full product distribution exactly - no
 sampling anywhere.  :func:`check_mixed` enumerates it once, at one integer
-scale for all opinions and beliefs from :func:`kcof._accel.scaled` (and each
-player's probabilities as integers over their own lcm denominator, from the
-same function).  Per realization it sorts the opinions once
-(:func:`kcof._accel.sorted_view`) and ranks every player with
-:func:`kcof._accel.span`, which walks out from her belief through the
-sorted values, one group of equal values at a time, to her k nearest
-opinions; from the spans it takes every player's cost and every player's
-deviation interval.  The verdict, the expected player and social costs and
+scale for all opinions and the beliefs' ``GameInstance.s_int``, from
+:meth:`kcof.game.GameInstance.at` (and each player's probabilities as
+integers over their own lcm denominator, from :func:`kcof._accel.scaled`).
+Per realization it sorts the opinions once (:func:`kcof._accel.sorted_view`)
+and ranks every player with :func:`kcof._accel.span`, which walks out from
+her belief through the sorted values, one group of equal values at a time,
+to her k nearest opinions; from the spans it takes every player's cost and
+every player's deviation interval.  The verdict, the expected player and social costs and
 each player's best deterministic deviation are fields of its
 :class:`MixedCheck`.  A realization costs O(n k log n), with at most two
 walks per player.  The cap :data:`MAX_WORK` bounds realizations x n^2,
@@ -167,8 +167,8 @@ def check_mixed(inst: GameInstance, rz: Sequence) -> MixedCheck:
     supports = as_randomized(inst, rz)
     n, k = inst.n, inst.k
     means = [_mean_opinion(sup) for sup in supports]
-    d, ints = scaled((*inst.beliefs, *means, *(op for sup in supports for op, _ in sup)))
-    s, ref, ops = ints[:n], ints[n : 2 * n], iter(ints[2 * n :])
+    d, s, ints = inst.at((*means, *(op for sup in supports for op, _ in sup)))
+    ref, ops = ints[:n], iter(ints[n:])
     qs, probs = zip(*(scaled([pr for _, pr in sup]) for sup in supports))
     q = prod(qs)  # the denominator of a realization's weight
     int_supports = [tuple((next(ops), pr) for pr in ps) for ps in probs]

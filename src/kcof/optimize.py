@@ -51,8 +51,7 @@ def _grid(inst: GameInstance) -> tuple[int, list[int]]:
     each of the two refinement levels halves a multiple of 4, then of 2.  A
     level puts a midpoint into every gap, so m values become 2m - 1.
     """
-    scale, s = _accel.scaled(inst.beliefs)
-    distinct = sorted({24 * v for v in s})
+    distinct = sorted({24 * v for v in inst.s_int})
     cands = set(distinct)
     for a, x in enumerate(distinct):
         for y in distinct[a + 1 :]:
@@ -60,7 +59,7 @@ def _grid(inst: GameInstance) -> tuple[int, list[int]]:
     for _ in range(_GRID_LEVELS):
         ordered = sorted(cands)
         cands.update((u + v) // 2 for u, v in zip(ordered, ordered[1:]))
-    return 24 * scale, sorted(cands)
+    return 24 * inst.scale, sorted(cands)
 
 
 def _descend(
@@ -124,18 +123,15 @@ def optimize_social_cost(
 
     n = inst.n
     # 1/scale brings the grid onto the one scale of the beliefs and starts
-    denom, ints = _accel.scaled(
-        (Fraction(1, scale), *inst.beliefs, *(v for st in extra_starts for v in st))
-    )
+    denom, s_int, ints = inst.at((Fraction(1, scale), *(v for st in extra_starts for v in st)))
     cand_int = [c * ints[0] for c in grid]
-    s_int = ints[1 : n + 1]
 
     start_vectors: list[list[int]] = [s_int]
     # herding starts: single-coordinate descent cannot merge a spread-out
     # vector onto one point, so seed one uniform start per distinct belief
     for b in sorted(set(s_int)):
         start_vectors.append([b] * n)
-    for t in range(n + 1, len(ints), n):
+    for t in range(1, len(ints), n):
         start_vectors.append(ints[t : t + n])
     rng = random.Random(0)
     for _ in range(_RESTARTS):

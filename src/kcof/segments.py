@@ -14,10 +14,10 @@ best / worst / enumeration queries as source-sink path computations; a path's
 total node weight equals the social cost of the equilibrium it assembles.
 Each query function takes the built graph, so one build (and one completion
 pass per direction, kept on the graph) serves them all.
-All of it runs on integers: the beliefs at the scale of
-:func:`kcof._accel.scaled` times 3 * 2**n, which makes every closed form
-exact, and each :class:`Segment` stores its opinions and weight at that scale
-once; their ``Fraction`` values are made only when read.
+All of it runs on integers: the instance's integer beliefs (``s_int`` of
+:class:`kcof.game.GameInstance`) times 3 * 2**n, which makes every closed
+form exact, and each :class:`Segment` stores its opinions and weight at
+that scale once; their ``Fraction`` values are made only when read.
 
 Assembled vectors are re-verified before being reported, once per graph (the
 graph keeps the vectors that passed), by the integer equilibrium test
@@ -70,12 +70,10 @@ def _scale(inst: GameInstance) -> tuple[list[int], int]:
     """Beliefs as ints at a scale that keeps every segment opinion integral.
 
     The closed forms divide once by 3 (at the pivot) and by 2 at most n-2
-    times, so the scale of :func:`kcof._accel.scaled` times 3 * 2**n clears
-    everything.
+    times, so the instance's ``scale`` times 3 * 2**n clears everything.
     """
-    d, s = _accel.scaled(inst.beliefs)
     extra = 3 << inst.n
-    return [v * extra for v in s], d * extra
+    return [v * extra for v in inst.s_int], inst.scale * extra
 
 
 def _segment_opinions(s: Sequence[int], a: int, b: int, c: int) -> list[int]:

@@ -208,8 +208,8 @@ class TestSkipShrinkingCycles:
 
 
 def at(*z):
-    """(s, z) with player 0's belief at 0 and the opinions z."""
-    return [0, 50, 60], list(z)
+    """(s_0, z) with player 0's belief at 0 and the opinions z."""
+    return 0, list(z)
 
 
 class TestAgree:

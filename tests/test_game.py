@@ -15,8 +15,10 @@ from kcof import (
     GameInstance,
     as_opinions,
     best_response_dynamics,
+    build_segment_graph,
     check_pure,
     is_pure_nash,
+    optimize_social_cost,
     social_cost,
 )
 from kcof.catalog import catalog_entry
@@ -71,6 +73,10 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             GameInstance(k=1, beliefs=(0, 1), labels=("a",))
 
+    def test_boolean_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            GameInstance(k=True, beliefs=(0, 1))
+
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             GameInstance(k=1, beliefs=(0.5, 1.5))
@@ -78,6 +84,62 @@ class TestInstanceValidation:
     def test_opinion_count(self, triple):
         with pytest.raises(ValueError):
             as_opinions(triple, (1, 2))
+
+
+class _Reads(tuple):
+    """A belief tuple that counts the reads of its items."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+class TestIntegerBeliefs:
+    """``GameInstance.scale`` and ``s_int``: the beliefs as integers, made once."""
+
+    def test_at_matches_one_scaled_pass(self):
+        rng = random.Random(0x5CA1E)
+        for _ in range(300):
+            n = rng.randint(2, 8)
+            beliefs = sorted(F(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(n))
+            inst = GameInstance(1, beliefs)
+            assert (inst.scale, list(inst.s_int)) == accel.scaled(inst.beliefs)
+            drawn = [F(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(rng.randint(1, 6))]
+            for values in ((), drawn):
+                d, ints = accel.scaled((*inst.beliefs, *values))
+                assert inst.at(values) == (d, ints[:n], ints[n:])
+
+    def test_not_part_of_equality_hash_or_repr(self):
+        a, b = (GameInstance(2, (F(1, 2), F(2, 3), 1)) for _ in range(2))
+        assert (a.scale, a.s_int) == (6, (3, 4, 6))
+        object.__setattr__(b, "scale", 12)
+        object.__setattr__(b, "s_int", (6, 8, 12))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) == (
+            "GameInstance(k=2, beliefs=(Fraction(1, 2), Fraction(2, 3), Fraction(1, 1)),"
+            " labels=None)"
+        )
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_queries_never_rescale_the_beliefs(self, k):
+        rng = random.Random(k)
+        beliefs = sorted(F(rng.randint(-60, 60), rng.choice((1, 2, 3, 5, 7))) for _ in range(9))
+        inst = GameInstance(k, beliefs)
+        watched = _Reads(inst.beliefs)
+        object.__setattr__(inst, "beliefs", watched)
+        z = [F(rng.randint(-60, 60), rng.choice((1, 4, 9))) for _ in range(inst.n)]
+        check_pure(inst, z)
+        best_response_dynamics(inst, z, 50)
+        optimize_social_cost(inst, [z])
+        if k == 1:
+            build_segment_graph(inst)
+        assert watched.reads == 0
 
 
 class TestNeighborhood:
