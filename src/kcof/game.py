@@ -344,7 +344,7 @@ def _set_midpoint(z: list[int], i: int, total: int) -> tuple[list[int], bool]:
 
 
 def _forced(s: Sequence[int], state: _State, i: int, owners: tuple[int, int]) -> _State:
-    """:func:`_set_midpoint` of player i's interval with the given owners (-1: s_i * m)."""
+    """Player i's update of the state (m, z) with its interval's owners given (-1: s_i * m)."""
     m, z = state
     z, doubled = _set_midpoint(z, i, sum(z[j] if j >= 0 else s[i] * m for j in owners))
     return m << doubled, z
