@@ -14,7 +14,7 @@ the social cost and the structure flags.  :func:`check_mixed` decides a
 finite-support profile in one enumeration: the verdict, the expected player
 and social costs and every player's best deterministic deviation.
 :func:`is_pure_nash` and :func:`social_cost` are the two views of
-:func:`check_pure` that other modules call.
+:func:`check_pure`.
 
 Every check and solver works on the pure-Python integer core of
 :mod:`kcof._accel` (``kernel_backend`` is always ``"python"``), which defines

@@ -47,11 +47,11 @@ def _fail(message: str) -> int:
 
 def _pure_check_report(inst: GameInstance, opinions) -> dict:
     checked = check_pure(inst, opinions)
-    verdict, structure = checked.verdict, checked.structure
+    verdict, structure, d = checked.verdict, checked.structure, checked.scale
     return {
         "pne": verdict.is_pne,
-        "social_cost": _R(checked.social_cost),
-        "player_costs": [_R(c) for c in checked.player_costs],
+        "social_cost": format_ratio(sum(checked.costs), d),
+        "player_costs": [format_ratio(c, d) for c in checked.costs],
         "tie_seen": verdict.tie_seen,
         "violations": [
             {
@@ -217,7 +217,7 @@ def _cmd_solve(args) -> int:
     if result.outcome == "converged":
         checked = check_pure(inst, result.opinions)
         report["opinions"] = [_R(v) for v in result.opinions]
-        report["social_cost"] = _R(checked.social_cost)
+        report["social_cost"] = format_ratio(sum(checked.costs), checked.scale)
         report["pne"] = checked.verdict.is_pne
     _emit(report, args.json, [] if args.json else _dynamics_lines(report))
     return 0

@@ -20,8 +20,8 @@ group of equal values at a time, until k opinions are taken, so
 the structure flags from one pass in O(n k log n) for n players (a walk
 finds at most k + 2 groups, by one bisection each), not a sort of n - 1
 keys per player.  A player's cost, best reply and structure flags are read
-from its result; the two views of it are :func:`is_pure_nash`, the
-dynamics' stopping test, and :func:`social_cost`.
+from its result, which keeps the costs as ints at the check's scale; the
+two views of it are :func:`is_pure_nash` and :func:`social_cost`.
 
 Distance ties when ranking neighbor candidates break toward the player's own
 opinion first and then toward the smallest index (:func:`kcof._accel.ranked`).
@@ -49,7 +49,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from ._accel import ranked, scaled, sorted_view, span
+from ._accel import first_unstable, ranked, scaled, sorted_view, span
 from .rationals import to_fraction
 
 __all__ = [
@@ -84,13 +84,14 @@ class GameInstance:
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise ValueError("k must be a positive integer")
-        beliefs = tuple(to_fraction(b) for b in self.beliefs)
+        beliefs = tuple(b if type(b) is Fraction else to_fraction(b) for b in self.beliefs)
         object.__setattr__(self, "beliefs", beliefs)
         n = len(beliefs)
         if n < self.k + 1:
             raise ValueError(f"need at least k+1={self.k + 1} players, got {n}")
+        scale, s_int = scaled(beliefs)
         for i in range(n - 1):
-            if beliefs[i] > beliefs[i + 1]:
+            if s_int[i] > s_int[i + 1]:
                 raise ValueError(
                     f"beliefs must be sorted ascending; index {i} has "
                     f"{beliefs[i]} > {beliefs[i + 1]}"
@@ -100,7 +101,6 @@ class GameInstance:
             if len(labels) != n:
                 raise ValueError("labels length must equal the number of players")
             object.__setattr__(self, "labels", labels)
-        scale, s_int = scaled(beliefs)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "s_int", tuple(s_int))
 
@@ -117,7 +117,7 @@ class GameInstance:
 
 def as_opinions(inst: GameInstance, values: Iterable) -> Opinions:
     """Validate and convert one opinion per player."""
-    z = tuple(to_fraction(v) for v in values)
+    z = tuple(v if type(v) is Fraction else to_fraction(v) for v in values)
     if len(z) != inst.n:
         raise ValueError(f"expected {inst.n} opinions, got {len(z)}")
     return z
@@ -166,12 +166,23 @@ class StructureReport:
 
 @dataclass(frozen=True)
 class PureCheck:
-    """Everything one pass over the players decides about an opinion vector."""
+    """Everything one pass over the players decides about an opinion vector.
+
+    The player costs are kept as ints: player i's cost is ``costs[i] / scale``.
+    """
 
     verdict: PureVerdict
-    player_costs: tuple[Fraction, ...]
-    social_cost: Fraction
+    scale: int
+    costs: tuple[int, ...]
     structure: StructureReport
+
+    @property
+    def player_costs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.scale) for c in self.costs)
+
+    @property
+    def social_cost(self) -> Fraction:
+        return Fraction(sum(self.costs), self.scale)
 
 
 def check_pure(inst: GameInstance, z: Sequence) -> PureCheck:
@@ -225,8 +236,8 @@ def check_pure(inst: GameInstance, z: Sequence) -> PureCheck:
     monotone = all(zs[i] <= zs[i + 1] for i in range(n - 1) if s[i] < s[i + 1])
     return PureCheck(
         PureVerdict(not violations, tuple(violations), tie_seen),
-        tuple(Fraction(c, d) for c in costs),
-        Fraction(sum(costs), d),
+        d,
+        tuple(costs),
         StructureReport(monotone, in_range, consecutive),
     )
 
@@ -247,7 +258,8 @@ class DynamicsResult:
 
     ``outcome`` is one of:
 
-    - ``"converged"``: ``opinions`` passed :func:`is_pure_nash`.  It is either
+    - ``"converged"``: ``opinions`` passed the test of :func:`is_pure_nash`,
+      run on ints by :func:`kcof._accel.first_unstable`.  It is either
       a state that a full round left unchanged or the exact solution of the
       affine system of the last round's interval pattern.
     - ``"cycle"``: a full-round state repeated exactly (``period`` rounds
@@ -276,18 +288,21 @@ _State = tuple[int, Sequence[int]]  # (m, opinions times inst.scale * m)
 
 def _solve_pattern(
     inst: GameInstance, pattern: Sequence[tuple[int, int]]
-) -> Optional[Opinions]:
-    """Exact solution of z_i = (lo_i + hi_i) / 2 for every player i.
+) -> Optional[tuple[int, list[int]]]:
+    """Exact solution of z_i = (lo_i + hi_i) / 2 for every player i, as (det, y)
+    with det > 0 and z_i = y_i / (det * inst.scale).
 
     ``pattern[i]`` names the points at the low and high ends of player i's
     interval: a player index j for z_j, or -1 for the belief s_i.  The system
     2 z_i - (those points) = (those beliefs) is solved at the beliefs' lcm
     scale by fraction-free (Bareiss) elimination over ints: every division
-    inside is exact, and back-substitution yields det * z in integers, so
-    each unknown is divided once, at the end.  Each row has 2 on the
-    diagonal and at most 2 off it in absolute value; elimination keeps that
-    weak diagonal dominance, so a zero pivot comes with a zero row, and no
-    row swaps are needed.  Returns None exactly when the system is singular.
+    inside is exact, and back-substitution yields y = det * z in integers.
+    Each row has 2 on the diagonal and at most 2 off it in absolute value;
+    elimination keeps that weak diagonal dominance, so a zero pivot comes
+    with a zero row, and no row swaps are needed.  By Gershgorin's theorem
+    every eigenvalue of such a matrix has a real part >= 0, and the complex
+    ones come in conjugate pairs, so det, their product, is >= 0.  Returns
+    None exactly when the system is singular.
     """
     n, s = inst.n, inst.s_int
     rows = []
@@ -315,7 +330,7 @@ def _solve_pattern(
     for i in range(n - 1, -1, -1):
         row = rows[i]
         y[i] = (det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
-    return tuple(Fraction(v, det * inst.scale) for v in y)
+    return det, y
 
 
 def _interval(z: Sequence[int], si: int, order: Sequence[tuple], k: int):
@@ -518,10 +533,13 @@ def best_response_dynamics(
     pattern is solved once (up to a window of 10,000 remembered patterns).
 
     The run returns ``"converged"`` as soon as a full round changes nothing
-    or a pattern's solution passes :func:`is_pure_nash`; a singular system
-    or a rejected solution is ignored.  Otherwise it returns ``"cycle"`` when
-    an earlier full-round state repeats exactly, and ``"exhausted"`` after
-    ``max_rounds`` rounds, at most :data:`MAX_ROUNDS`; see :class:`DynamicsResult`.
+    or a pattern's solution passes :func:`kcof._accel.first_unstable` at its
+    own integer scale; a positive common scale changes no order and no
+    midpoint test, so the verdict is that of :func:`is_pure_nash`.  A
+    singular system or a rejected solution is ignored.  Otherwise it returns
+    ``"cycle"`` when an earlier full-round state repeats exactly, and
+    ``"exhausted"`` after ``max_rounds`` rounds, at most :data:`MAX_ROUNDS`;
+    see :class:`DynamicsResult`.
 
     Many runs without an equilibrium settle into a cycle of p rounds whose
     patterns repeat while the state shrinks toward a limit cycle by one
@@ -547,7 +565,8 @@ def best_response_dynamics(
     The state is integers z over d0 * 2**e, with d0 and the beliefs s0 from
     :meth:`GameInstance.at`, belief i read as s0_i << e.  An odd midpoint
     doubles z; after a round z is halved while e > 0 and all of it is even,
-    so equal states hash equally.  Fractions are reconstructed on demand.
+    so equal states hash equally.  Fractions are built only for the
+    returned state.
     """
     if not 1 <= max_rounds <= MAX_ROUNDS:
         raise ValueError(f"max_rounds {max_rounds} is outside 1 to {MAX_ROUNDS}, the dynamics cap")
@@ -589,16 +608,19 @@ def best_response_dynamics(
             z = [v // 2 for v in z]
             e -= 1
         frozen = tuple(pattern)
+        candidate = None  # (d, beliefs times d, opinions times d)
         if not changed:
-            candidate = snapshot()
+            candidate = d0 << e, [v << e for v in s0], z
         elif frozen not in tried:
             if len(tried) < _STATE_WINDOW:
                 tried.add(frozen)
-            candidate = _solve_pattern(inst, frozen)
-        else:
-            candidate = None
-        if candidate is not None and is_pure_nash(inst, candidate).is_pne:
-            return DynamicsResult("converged", candidate, rounds)
+            solved = _solve_pattern(inst, frozen)
+            if solved is not None:
+                det, y = solved
+                candidate = det * inst.scale, [v * det for v in inst.s_int], y
+        if candidate is not None and first_unstable(candidate[1], candidate[2], k) < 0:
+            d, _, y = candidate
+            return DynamicsResult("converged", tuple(Fraction(v, d) for v in y), rounds)
         key = state_key()
         if key in seen:
             return DynamicsResult("cycle", snapshot(), rounds, period=rounds - seen[key])

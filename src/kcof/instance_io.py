@@ -46,15 +46,16 @@ class InstanceDocument:
     mixed: Optional[RandomizedOpinions] = None
 
 
-def _rational(value, where: str):
+def _rational(value, where: str, *at: int):
+    """The value as a Fraction; an error names it as ``where.format(*at)``."""
     if isinstance(value, float):
         raise InstanceFormatError(
-            f"{where}: JSON floats are not exact; write the value as a string"
+            f"{where.format(*at)}: JSON floats are not exact; write the value as a string"
         )
     try:
         return to_fraction(value)
     except (ValueError, TypeError) as exc:
-        raise InstanceFormatError(f"{where}: {exc}") from exc
+        raise InstanceFormatError(f"{where.format(*at)}: {exc}") from exc
 
 
 def load_instance(path: str | Path) -> InstanceDocument:
@@ -80,7 +81,7 @@ def load_instance(path: str | Path) -> InstanceDocument:
         raise InstanceFormatError('"k" must be an integer')
     if not isinstance(raw["beliefs"], list):
         raise InstanceFormatError('"beliefs" must be a list')
-    beliefs = [_rational(v, f"beliefs[{i}]") for i, v in enumerate(raw["beliefs"])]
+    beliefs = [_rational(v, "beliefs[{}]", i) for i, v in enumerate(raw["beliefs"])]
     labels = raw.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
@@ -95,7 +96,7 @@ def load_instance(path: str | Path) -> InstanceDocument:
     if raw.get("opinions") is not None:
         if not isinstance(raw["opinions"], list):
             raise InstanceFormatError('"opinions" must be a list')
-        vals = [_rational(v, f"opinions[{i}]") for i, v in enumerate(raw["opinions"])]
+        vals = [_rational(v, "opinions[{}]", i) for i, v in enumerate(raw["opinions"])]
         try:
             opinions = as_opinions(inst, vals)
         except ValueError as exc:
@@ -117,8 +118,8 @@ def load_instance(path: str | Path) -> InstanceDocument:
                     )
                 pairs.append(
                     (
-                        _rational(pair[0], f"mixed[{i}][{j}] opinion"),
-                        _rational(pair[1], f"mixed[{i}][{j}] probability"),
+                        _rational(pair[0], "mixed[{}][{}] opinion", i, j),
+                        _rational(pair[1], "mixed[{}][{}] probability", i, j),
                     )
                 )
             supports.append(tuple(pairs))

@@ -1,21 +1,29 @@
 """Exact rational parsing and formatting.
 
-Every quantity in this package is a ``fractions.Fraction``.  Floats are
-rejected at all boundaries: the solvers decide strict inequalities and exact
-ties, and a single rounded comparison would corrupt verdicts.
+The package's API takes and returns exact values as ``fractions.Fraction``
+(or int).  Inside, the checks and solvers work on ints at a common scale,
+and the CLI formats a check's costs from them with :func:`format_ratio`.
+Floats are rejected at all boundaries: the solvers decide strict
+inequalities and exact ties, and a single rounded comparison would corrupt
+verdicts.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
 # Unicode minus/dash variants occasionally found in hand-written input files.
 _DASHES = {"−": "-", "–": "-", "—": "-"}
+# what instance files hold: an ASCII integer or integer ratio, read by int()
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def to_fraction(value: Fraction | int | str) -> Fraction:
     """Convert an exact value to Fraction, rejecting floats."""
+    if type(value) is str:  # an instance file's values: skip the slower tests below
+        return parse_rational(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -32,6 +40,21 @@ def to_fraction(value: Fraction | int | str) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse "3", "-21/2", or "2.5" into an exact Fraction."""
+    plain = _PLAIN.fullmatch(text)
+    if plain:
+        num, den = plain.groups()
+        try:
+            if den is None:
+                return Fraction(int(num))
+            if int(den):
+                return Fraction(int(num), int(den))
+        except ValueError:  # past the interpreter's digit limit: reported below
+            pass
+    return _parse_text(text)
+
+
+def _parse_text(text: str) -> Fraction:
+    """``Fraction(text)`` after trimming whitespace and replacing Unicode dashes."""
     cleaned = text.strip()
     for bad, good in _DASHES.items():
         cleaned = cleaned.replace(bad, good)
@@ -44,7 +67,6 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "3" or "-21/2" (inverse of parse_rational)."""
     return str(value)
-
 
 
 def format_ratio(num: int, den: int) -> str:

@@ -50,6 +50,37 @@ class TestInstanceFiles:
         with pytest.raises(InstanceFormatError, match="not exact"):
             load_instance(path)
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (2.5, "JSON floats are not exact; write the value as a string"),
+            (True, "booleans are not rational values"),
+            ("3/0", "not a rational number: '3/0'"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "where",
+        ["beliefs[2]", "opinions[1]", "mixed[0][1] opinion", "mixed[0][1] probability"],
+    )
+    def test_bad_value_error_names_its_place(self, value, message, where, tmp_path):
+        doc = {
+            "k": 1,
+            "beliefs": ["0", "1", "2"],
+            "opinions": ["0", "1", "2"],
+            "mixed": [[["0", "1/2"], ["1", "1/2"]], [["1", "1"]], [["2", "1"]]],
+        }
+        if where == "beliefs[2]":
+            doc["beliefs"][2] = value
+        elif where == "opinions[1]":
+            doc["opinions"][1] = value
+        else:
+            doc["mixed"][0][1][1 if where.endswith("probability") else 0] = value
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError) as info:
+            load_instance(path)
+        assert str(info.value) == f"{where}: {message}"
+
     def test_unknown_fields_rejected(self, tmp_path):
         path = tmp_path / "u.json"
         path.write_text(json.dumps({"k": 1, "beliefs": ["0", "1"], "junk": 3}))
@@ -396,7 +427,12 @@ class TestJsonReports:
             formatted.append(value)
             return format_rational(value)
 
+        def recording_ratio(num, den):
+            formatted.append((num, den))
+            return format_ratio(num, den)
+
         monkeypatch.setattr(cli, "_R", recording)
+        monkeypatch.setattr(cli, "format_ratio", recording_ratio)
         assert main(argv + mode) == status
         capsys.readouterr()
         assert len(formatted) == values

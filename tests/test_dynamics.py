@@ -44,6 +44,14 @@ def dense_solve(beliefs, pattern):
     return tuple(rows[i][n] / rows[i][i] for i in range(n))
 
 
+def solved_opinions(inst, solved):
+    """The opinions of ``game._solve_pattern``'s (det, y), or None."""
+    if solved is None:
+        return None
+    det, y = solved
+    return tuple(F(v, det * inst.scale) for v in y)
+
+
 def reference_dynamics(inst, z0, max_rounds):
     """The round loop with no skip: every round is run.
 
@@ -105,7 +113,7 @@ def reference_dynamics(inst, z0, max_rounds):
             candidate = snapshot()
         elif frozen not in tried:
             tried.add(frozen)
-            candidate = game._solve_pattern(inst, frozen)
+            candidate = solved_opinions(inst, game._solve_pattern(inst, frozen))
         else:
             candidate = None
         if candidate is not None and is_pure_nash(inst, candidate).is_pne:
@@ -250,7 +258,9 @@ class TestSolvePattern:
                 tuple(rng.choice([-1, *(j for j in range(n) if j != i)]) for _ in range(2))
                 for i in range(n)
             ]
-            got = game._solve_pattern(inst, pattern)
+            solved = game._solve_pattern(inst, pattern)
+            assert solved is None or solved[0] > 0, (inst.beliefs, pattern)
+            got = solved_opinions(inst, solved)
             assert got == dense_solve(inst.beliefs, pattern), (inst.beliefs, pattern)
             outcomes["singular" if got is None else "solved"] += 1
         assert outcomes["singular"] >= 300 and outcomes["solved"] >= 300, outcomes

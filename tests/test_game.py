@@ -361,6 +361,11 @@ def _assert_matches_brute(inst, z):
     # the views agree with the pass
     assert is_pure_nash(inst, z) == got.verdict
     assert social_cost(inst, z) == got.social_cost
+    # the int costs at the pass's scale, and the integer kernel's social cost there
+    d, s, zs = inst.at(as_opinions(inst, z))
+    assert got.scale == d and all(type(c) is int for c in got.costs)
+    assert [F(c, d) for c in got.costs] == costs
+    assert sum(got.costs) == accel.social_cost(s, zs, inst.k)
     return got
 
 
