@@ -290,47 +290,64 @@ def _solve_pattern(
     inst: GameInstance, pattern: Sequence[tuple[int, int]]
 ) -> Optional[tuple[int, list[int]]]:
     """Exact solution of z_i = (lo_i + hi_i) / 2 for every player i, as (det, y)
-    with det > 0 and z_i = y_i / (det * inst.scale).
+    in lowest terms, with det > 0 and z_i = y_i / (det * inst.scale).
 
     ``pattern[i]`` names the points at the low and high ends of player i's
     interval: a player index j for z_j, or -1 for the belief s_i.  The system
     2 z_i - (those points) = (those beliefs) is solved at the beliefs' lcm
-    scale by fraction-free (Bareiss) elimination over ints: every division
-    inside is exact, and back-substitution yields y = det * z in integers.
-    Each row has 2 on the diagonal and at most 2 off it in absolute value;
-    elimination keeps that weak diagonal dominance, so a zero pivot comes
-    with a zero row, and no row swaps are needed.  By Gershgorin's theorem
-    every eigenvalue of such a matrix has a real part >= 0, and the complex
-    ones come in conjugate pairs, so det, their product, is >= 0.  Returns
-    None exactly when the system is singular.
+    scale by sparse elimination over ints.  A row is a {column: coefficient}
+    dict with the right-hand side in column n.  At column c with pivot h,
+    only the rows below that hold c change, each to h row - f head divided
+    by the gcd of its entries.  Each row has 2 on the diagonal and entries
+    <= 0 off it, at most 2 in absolute value in all.  Elimination without
+    row swaps keeps that weak diagonal dominance and those signs, so every
+    pivot is >= 0 and a zero pivot comes with a zero row: no swaps are
+    needed, and the function returns None exactly when the system is
+    singular.  Back-substitution keeps y over one common denominator, which
+    each pivot raises only by the factor that does not divide its
+    numerator.
     """
     n, s = inst.n, inst.s_int
     rows = []
     for i, ends in enumerate(pattern):
-        row = [0] * (n + 1)
-        row[i] = 2
+        row = {i: 2, n: 0}
         for j in ends:
             if j < 0:
                 row[n] += s[i]
             else:
-                row[j] -= 1
+                row[j] = row.get(j, 0) - 1
         rows.append(row)
-    prev = 1
-    for col in range(n):
-        head = rows[col]
-        h = head[col]
+    pivots = []
+    for c in range(n):
+        head = rows[c]
+        h = head.pop(c, 0)
         if not h:
             return None
-        for r in range(col + 1, n):
-            f = rows[r][col]
-            rows[r] = [(h * a - f * b) // prev for a, b in zip(rows[r], head)]
-        prev = h
-    det = prev
-    y = [0] * n
+        pivots.append(h)
+        for row in rows[c + 1 :]:
+            f = row.pop(c, 0)
+            if not f:
+                continue
+            for j in row:
+                row[j] *= h
+            for j, a in head.items():
+                row[j] = row.get(j, 0) - f * a
+            g = gcd(*row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+    det, y = 1, [0] * n
     for i in range(n - 1, -1, -1):
         row = rows[i]
-        y[i] = (det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
-    return det, y
+        num = row.pop(n) * det - sum(a * y[j] for j, a in row.items())
+        g = gcd(num, pivots[i])
+        if pivots[i] > g:
+            f = pivots[i] // g
+            det *= f
+            y = [v * f for v in y]
+        y[i] = num // g
+    g = gcd(det, *y)
+    return det // g, [v // g for v in y]
 
 
 def _interval(z: Sequence[int], si: int, order: Sequence[tuple], k: int):
@@ -457,31 +474,40 @@ class _CycleWatch:
     the one p rounds back, for each p.  While the patterns repeat, each
     phase's d is the one-period linear map applied to the d before it; after
     n periods it has lost any component that the map sends to 0, so if it is
-    no eigenvector by then, it never becomes one.  So a run of repeating
-    patterns gets p (n + 1) ratio tests, and a (p, patterns) whose
-    certificate failed is not certified again.
+    no eigenvector by then, it never becomes one.  So a streak of repeating
+    patterns is tested only on its t-th testable round (the p-th round of
+    the streak is the first) for t = 1, 2, 4, 8, ... and on its last, t =
+    p (n + 1), and its tests end when a certificate fails: at most
+    2 + log2(p (n + 1)) ratio tests per streak.  That bounds the work per
+    streak, not per run, since a run can break and restart many streaks.
+    A streak that testing every round would certify on its t-th testable
+    round is certified by its 2t-th or its last: while the patterns repeat,
+    an eigenvector d stays one, and a certificate that holds on a segment
+    holds on each later, shorter one.  A (p, patterns) whose certificate
+    failed is not certified again.
     """
 
     def __init__(self, inst: GameInstance, m: int, z: Sequence[int]) -> None:
         self.inst = inst
         self.history: deque = deque([(m, tuple(z), None)], maxlen=2 * _MAX_PERIOD + 1)
         self.streak = [0] * (_MAX_PERIOD + 1)  # rounds repeating the pattern p rounds back
-        self.tests = [0] * (_MAX_PERIOD + 1)  # ratio tests left in that streak
+        self.due = [1] * (_MAX_PERIOD + 1)  # the streak's next testable round to test; 0: none
         self.refused: set = set()
 
     def skip(self, m: int, z: Sequence[int], pattern: tuple, left: int) -> Optional[Opinions]:
         """Record a round's state (m, z); the state ``left`` rounds on once a cycle is proved."""
-        history, streak, tests = self.history, self.streak, self.tests
+        history, streak, due = self.history, self.streak, self.due
         history.append((m, tuple(z), pattern))
         for p in range(1, _MAX_PERIOD + 1):
             if len(history) <= p or pattern != history[-1 - p][2]:
                 streak[p] = 0
-                tests[p] = p * (self.inst.n + 1)
+                due[p] = 1
                 continue
             streak[p] += 1
-            if streak[p] < p or not tests[p]:
+            t, end = streak[p] - p + 1, p * (self.inst.n + 1)
+            if t != due[p]:
                 continue
-            tests[p] -= 1
+            due[p] = min(2 * t, end) if t < end else 0
             mid, old = history[-1 - p], history[-1 - 2 * p]
             rate = _ratio(history[-1][:2], mid[:2], old[:2])
             if rate is None:
@@ -490,7 +516,7 @@ class _CycleWatch:
             last = None if key in self.refused else self._certified(key[1], mid, rate, left)
             if last is not None:
                 return last
-            tests[p] = 0
+            due[p] = 0
             if len(self.refused) < _STATE_WINDOW:
                 self.refused.add(key)
         return None

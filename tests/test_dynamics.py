@@ -10,12 +10,14 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 import kcof.game as game
 from kcof import GameInstance, as_opinions, best_response_dynamics, is_pure_nash
 from kcof._accel import ranked, scaled
+from kcof.catalog import catalog
 
 
 def dense_solve(beliefs, pattern):
@@ -40,7 +42,7 @@ def dense_solve(beliefs, pattern):
         for r in range(n):
             factor = rows[r][col] / head[col] if r != col else 0
             if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], head)]
+                rows[r] = [a - factor * b if b else a for a, b in zip(rows[r], head)]
     return tuple(rows[i][n] / rows[i][i] for i in range(n))
 
 
@@ -184,6 +186,15 @@ class TestSkipShrinkingCycles:
         assert got.outcome == "exhausted" and got.rounds == 1000
         assert sum(certified.values()) == 1
 
+    def test_certifies_as_many_runs_as_testing_every_round(self, certified):
+        # testing every testable round of each streak certified 46 of these
+        # runs; the log-spaced tests may certify later in a streak, not less
+        rng = random.Random(0x5C1)
+        for _ in range(500):
+            inst, start, _ = dynamics_case(rng)
+            best_response_dynamics(inst, start, 1000)
+        assert sum(certified.values()) >= 46, certified
+
     def test_k8_gadget_ranks_at_most_20_n_times(self, monkeypatch):
         inst = gadget(8)
         calls = Counter()
@@ -246,6 +257,15 @@ class TestAgree:
         assert not game._agree(1, at(-10, 1, 5), at(-10, 2, 5), 0, (-1, -1))
 
 
+def lowest_terms_opinions(inst, pattern):
+    """The opinions of ``game._solve_pattern``, checking det > 0 and lowest terms."""
+    solved = game._solve_pattern(inst, pattern)
+    if solved is not None:
+        det, y = solved
+        assert det > 0 and gcd(det, *y) == 1, (inst.beliefs, pattern, solved)
+    return solved_opinions(inst, solved)
+
+
 class TestSolvePattern:
     def test_matches_dense_fraction_elimination(self):
         rng = random.Random(0xBA2)
@@ -264,6 +284,46 @@ class TestSolvePattern:
             assert got == dense_solve(inst.beliefs, pattern), (inst.beliefs, pattern)
             outcomes["singular" if got is None else "solved"] += 1
         assert outcomes["singular"] >= 300 and outcomes["solved"] >= 300, outcomes
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_every_catalog_pattern_matches_dense_elimination(self, k, monkeypatch):
+        met = []
+        original = game._solve_pattern
+
+        def spy(inst, pattern):
+            met.append((inst, tuple(pattern)))
+            return original(inst, pattern)
+
+        monkeypatch.setattr(game, "_solve_pattern", spy)
+        names = {"poa_blocks", "pos_star", "pos_quad", "no_pne_gadget"}
+        for lam in (F(1, 3), F(1, 2)):
+            for entry in catalog(k, lam=lam):
+                if entry.name in names:
+                    inst = entry.instance
+                    best_response_dynamics(inst, inst.beliefs, 1000)
+        monkeypatch.undo()
+        assert len(met) >= 12, len(met)
+        for inst, pattern in met:
+            got = lowest_terms_opinions(inst, pattern)
+            assert got == dense_solve(inst.beliefs, pattern), (inst.beliefs, pattern)
+
+    def test_banded_patterns_match_dense_elimination(self):
+        # the dynamics' shape: each end is s_i or a player within k of i
+        rng = random.Random(0xBA4D)
+        outcomes = Counter()
+        for _ in range(2000):
+            n, k = rng.randint(10, 40), rng.randint(2, 8)
+            beliefs = sorted(F(rng.randint(-999, 999), rng.choice((1, 2, 4, 8))) for _ in range(n))
+            inst = GameInstance(k=k, beliefs=beliefs)
+            near = [
+                [-1, *(j for j in range(max(0, i - k), min(n, i + k + 1)) if j != i)]
+                for i in range(n)
+            ]
+            pattern = [(rng.choice(near[i]), rng.choice(near[i])) for i in range(n)]
+            got = lowest_terms_opinions(inst, pattern)
+            assert got == dense_solve(inst.beliefs, pattern), (inst.beliefs, pattern)
+            outcomes["singular" if got is None else "solved"] += 1
+        assert outcomes["singular"] >= 200 and outcomes["solved"] >= 1000, outcomes
 
 
 class TestRatio:
@@ -298,3 +358,19 @@ class TestRatio:
         got = best_response_dynamics(inst, inst.beliefs, 1000)
         assert got.outcome == "exhausted"
         assert calls["ratio"] <= 6 * (inst.n + 1), calls
+
+    def test_streaks_test_ratios_on_log_spaced_rounds(self, monkeypatch):
+        # this run is never certified, and its streaks of repeated patterns
+        # break and start again: testing every round of each made 2,201 tests
+        inst = GameInstance(k=2, beliefs=(4, 335, F(1889, 4), F(2207, 4), F(1361, 2), F(3697, 4)))
+        calls = Counter()
+        original = game._ratio
+
+        def spy(*args):
+            calls["ratio"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(game, "_ratio", spy)
+        got = best_response_dynamics(inst, inst.beliefs, 1000)
+        assert calls["ratio"] <= 1100, calls
+        assert got == reference_dynamics(inst, inst.beliefs, 1000)
