@@ -21,7 +21,9 @@ the structure flags from one pass in O(n k log n) for n players (a walk
 finds at most k + 2 groups, by one bisection each), not a sort of n - 1
 keys per player.  A player's cost, best reply and structure flags are read
 from its result, which keeps the costs as ints at the check's scale; the
-two views of it are :func:`is_pure_nash` and :func:`social_cost`.
+extremes of every window of k + 1 consecutive players are taken once, and a
+False structure flag is not tested again.  The two views of the pass are
+:func:`is_pure_nash` and :func:`social_cost`.
 
 Distance ties when ranking neighbor candidates break toward the player's own
 opinion first and then toward the smallest index (:func:`kcof._accel.ranked`).
@@ -192,8 +194,8 @@ def check_pure(inst: GameInstance, z: Sequence) -> PureCheck:
     opinions, and each player is ranked once by walking out from her belief
     through them.  From the walk come the boundary-tie flag and the span
     [lo, hi] of s_i and the chosen neighbours' opinions: z_i is a best reply
-    exactly when 2 z_i = lo + hi, and the player's cost is max(z_i - lo,
-    hi - z_i).  The structure flags are
+    exactly when z_i - lo = hi - z_i, and the player's cost is the larger of
+    the two.  The structure flags are
 
     - ``monotone``: z_i <= z_{i+1} wherever s_i < s_{i+1};
     - ``in_belief_range``: z_i lies between the beliefs of the owners of the
@@ -204,13 +206,17 @@ def check_pure(inst: GameInstance, z: Sequence) -> PureCheck:
       that interval.
 
     They are informational for arbitrary vectors; at a verified equilibrium
-    all three hold.
+    all three hold.  Every window's extremes are taken once, by C-level maps
+    over k + 1 shifted slices; a player tests the at most k + 1 windows that
+    hold her, and a False flag is not tested again.
     """
     zz = as_opinions(inst, z)
     n, k = inst.n, inst.k
     d, s, zs = inst.at(zz)
     view = sorted_view(zs)
-    windows = [(min(zs[a : a + k + 1]), max(zs[a : a + k + 1])) for a in range(n - k)]
+    # windows[a]: the extremes of z_a..z_{a+k}; slice j holds each window's (j+1)-th
+    cols = [zs[j : n - k + j] for j in range(k + 1)]
+    windows = list(zip(map(min, *cols), map(max, *cols)))
     costs = []
     violations = []
     tie_seen = False
@@ -219,20 +225,25 @@ def check_pure(inst: GameInstance, z: Sequence) -> PureCheck:
         si, zi = s[i], zs[i]
         tie, lo, hi = span(s, zs, k, i, zi, view)
         tie_seen = tie_seen or tie
-        cost = max(zi - lo, hi - zi)
-        costs.append(cost)
-        if 2 * zi != lo + hi:
+        below, above = zi - lo, hi - zi
+        costs.append(below if below > above else above)
+        if below != above:
             violations.append(
-                Violation(i, Fraction(lo + hi, 2 * d), Fraction(2 * cost - (hi - lo), 2 * d))
+                Violation(i, Fraction(lo + hi, 2 * d), Fraction(abs(below - above), 2 * d))
             )
-        lo, hi = min(lo, zi), max(hi, zi)
-        if not s[_owner(view, i, si, zi, lo)] <= zi <= s[_owner(view, i, si, zi, hi)]:
+        if below < 0:
+            lo = zi
+        if above < 0:
+            hi = zi
+        if in_range and not s[_owner(view, i, si, zi, lo)] <= zi <= s[_owner(view, i, si, zi, hi)]:
             in_range = False
-        if consecutive and not any(
-            min(si, wlo) == lo and max(si, whi) == hi
-            for wlo, whi in windows[max(0, i - k) : min(i, n - 1 - k) + 1]
-        ):
-            consecutive = False
+        if consecutive:
+            # a window holding i lies in [lo, hi] and, with s_i, reaches both ends
+            for wlo, whi in windows[i - k if i > k else 0 : i + 1]:
+                if wlo >= lo and whi <= hi and (wlo == lo or si == lo) and (whi == hi or si == hi):
+                    break
+            else:
+                consecutive = False
     monotone = all(zs[i] <= zs[i + 1] for i in range(n - 1) if s[i] < s[i + 1])
     return PureCheck(
         PureVerdict(not violations, tuple(violations), tie_seen),

@@ -1,7 +1,7 @@
 """Best-response dynamics: the skip over shrinking cycles and the pattern solve.
 
 The references are written here: the round loop without the skip, and a
-dense ``Fraction`` elimination for the interval-pattern system.
+dense fraction-free elimination for the interval-pattern system.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -21,15 +21,18 @@ from kcof.catalog import catalog
 
 
 def dense_solve(beliefs, pattern):
-    """z_i = (lo_i + hi_i) / 2 by Gauss-Jordan elimination over Fractions."""
+    """z_i = (lo_i + hi_i) / 2 by fraction-free Gaussian elimination over dense
+    int rows at the beliefs' lcm scale, with row swaps, then back-substitution
+    over Fractions; None when the system is singular."""
     n = len(beliefs)
+    d = lcm(*(b.denominator for b in beliefs))
     rows = []
     for i, ends in enumerate(pattern):
-        row = [F(0)] * (n + 1)
-        row[i] = F(2)
+        row = [0] * (n + 1)
+        row[i] = 2
         for j in ends:
             if j < 0:
-                row[n] += beliefs[i]
+                row[n] += beliefs[i].numerator * (d // beliefs[i].denominator)
             else:
                 row[j] -= 1
         rows.append(row)
@@ -39,11 +42,20 @@ def dense_solve(beliefs, pattern):
             return None
         rows[col], rows[pivot] = rows[pivot], rows[col]
         head = rows[col]
-        for r in range(n):
-            factor = rows[r][col] / head[col] if r != col else 0
-            if factor:
-                rows[r] = [a - factor * b if b else a for a, b in zip(rows[r], head)]
-    return tuple(rows[i][n] / rows[i][i] for i in range(n))
+        h = head[col]
+        for row in rows[col + 1 :]:
+            f = row[col]
+            if f:
+                # columns left of col are zero in both rows
+                row[col:] = [h * a - f * b for a, b in zip(row[col:], head[col:])]
+                g = gcd(*row[col:])
+                if g > 1:
+                    row[col:] = [a // g for a in row[col:]]
+    z = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        z[i] = F(row[n] - sum(row[j] * z[j] for j in range(i + 1, n) if row[j]), row[i])
+    return tuple(v / d for v in z)
 
 
 def solved_opinions(inst, solved):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -390,6 +391,41 @@ class TestCheckPureDifferential:
             seen["not_in_range"] += not got.structure.in_belief_range
             seen["not_consecutive"] += not got.structure.consecutive_neighborhoods
         assert min(seen.values()) >= 200, seen
+
+    def test_many_tie_cases_up_to_40_players(self):
+        """n from 10 to 40 and k from 1 to n - 1.  Most cases draw from a few
+        values: equal beliefs, groups of equal opinions, some vectors sorted.
+        The rest shift sorted opinions by one offset to get the beliefs, so a
+        player's one spanning window may start anywhere from i - k to i.
+        Players whose windows are cut off at both ends (i < k and
+        i > n - 1 - k) and k = n - 1, one window for all, occur, and each flag
+        is False at least 100 times."""
+        rng = random.Random(26)
+        seen = Counter()
+        for _ in range(320):
+            n = rng.randint(10, 40)
+            k = rng.choice((rng.randint(1, 3), rng.randint(1, n - 1), n - 1))
+            if rng.random() < 0.3:
+                z = sorted(F(rng.randint(-2 * n, 2 * n), 2) for _ in range(n))
+                shift = F(rng.randint(-4 * k, 4 * k), 8)
+                beliefs = [v + shift for v in z]
+                seen["shifted"] += 1
+            else:
+                pool = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(1, 8))]
+                beliefs = sorted(rng.choice(pool) for _ in range(n))
+                z = [rng.choice(pool) for _ in range(n)]
+                if rng.random() < 0.15:
+                    z.sort()
+            got = _assert_matches_brute(GameInstance(k=k, beliefs=tuple(beliefs)), tuple(z))
+            seen["k=n-1"] += k == n - 1
+            seen["windows cut at both ends"] += n - 1 - k < k - 1
+            seen["tie"] += got.verdict.tie_seen
+            seen["all_ok"] += got.structure.all_ok
+            seen["not_monotone"] += not got.structure.monotone
+            seen["not_in_range"] += not got.structure.in_belief_range
+            seen["not_consecutive"] += not got.structure.consecutive_neighborhoods
+        assert min(seen.values()) >= 30, seen
+        assert min(seen["not_monotone"], seen["not_in_range"], seen["not_consecutive"]) >= 100, seen
 
     def test_values_near_2_to_the_80(self):
         big = 2**80
