@@ -48,6 +48,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -207,16 +208,18 @@ def check_pure(inst: GameInstance, z: Sequence) -> PureCheck:
 
     They are informational for arbitrary vectors; at a verified equilibrium
     all three hold.  Every window's extremes are taken once, by C-level maps
-    over k + 1 shifted slices; a player tests the at most k + 1 windows that
+    over k + 1 shifted iterators of the opinions; a player tests the at most k + 1 windows that
     hold her, and a False flag is not tested again.
     """
     zz = as_opinions(inst, z)
     n, k = inst.n, inst.k
     d, s, zs = inst.at(zz)
     view = sorted_view(zs)
-    # windows[a]: the extremes of z_a..z_{a+k}; slice j holds each window's (j+1)-th
-    cols = [zs[j : n - k + j] for j in range(k + 1)]
-    windows = list(zip(map(min, *cols), map(max, *cols)))
+    # windows[a]: the extremes of z_a..z_{a+k}; shift j yields each window's (j+1)-th
+    # member, and the shifts are iterators, so this holds O(n + k) values, not O(n k)
+    lo = map(min, *[islice(zs, j, None) for j in range(k + 1)])
+    hi = map(max, *[islice(zs, j, None) for j in range(k + 1)])
+    windows = list(zip(lo, hi))
     costs = []
     violations = []
     tie_seen = False

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .game import GameInstance, Opinions, as_opinions
 from .mixed import RandomizedOpinions, as_randomized
-from .rationals import format_rational, parse_rational, to_fraction
+from .rationals import format_rational, to_fraction
 
 __all__ = [
     "InstanceFormatError",
@@ -48,16 +48,14 @@ class InstanceDocument:
 
 def _rational(value, where: str, *at: int):
     """The value as a Fraction; an error names it as ``where.format(*at)``."""
+    if isinstance(value, float):
+        raise InstanceFormatError(
+            f"{where.format(*at)}: JSON floats are not exact; write the value as a string"
+        )
     try:
-        if type(value) is str:  # what instance files hold
-            return parse_rational(value)
-        if not isinstance(value, float):
-            return to_fraction(value)
+        return to_fraction(value)
     except (ValueError, TypeError) as exc:
         raise InstanceFormatError(f"{where.format(*at)}: {exc}") from exc
-    raise InstanceFormatError(
-        f"{where.format(*at)}: JSON floats are not exact; write the value as a string"
-    )
 
 
 def load_instance(path: str | Path) -> InstanceDocument:

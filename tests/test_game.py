@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
@@ -303,6 +304,26 @@ class TestStructureReport:
         inst = GameInstance(k=2, beliefs=(0, 1, 1, 2))
         report = check_pure(inst, (F(4, 7), F(6, 7), F(8, 7), F(10, 7))).structure
         assert report.all_ok
+
+    def test_large_k_with_few_opinions_in_linear_memory(self):
+        """k = 1000 of 2000 players whose opinions fall in four groups.  The
+        window extremes take O(n + k) memory: 0.9 MB peak here, where holding
+        k + 1 shifted copies of the opinions took 9 MB.  The report is the one
+        the per-window slices gave."""
+        rng = random.Random(3)
+        s = sorted(rng.randint(0, 10**6) for _ in range(2000))
+        inst = GameInstance(k=1000, beliefs=tuple(s))
+        z = tuple(v // 250000 * 250000 for v in s)
+        tracemalloc.start()
+        try:
+            got = check_pure(inst, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
+        assert (len(got.verdict.violations), got.social_cost) == (1504, 623250000)
+        assert got.structure.monotone and got.structure.consecutive_neighborhoods
+        assert not got.structure.in_belief_range
 
     def test_constructed_monotonicity_violation(self):
         inst = GameInstance(k=1, beliefs=(0, 10, 20))
