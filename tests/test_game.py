@@ -307,9 +307,9 @@ class TestStructureReport:
 
     def test_large_k_with_few_opinions_in_linear_memory(self):
         """k = 1000 of 2000 players whose opinions fall in four groups.  The
-        window extremes take O(n + k) memory: 0.9 MB peak here, where holding
-        k + 1 shifted copies of the opinions took 9 MB.  The report is the one
-        the per-window slices gave."""
+        window extremes take O(n + k) memory: the check peaks at 0.9 MB, and
+        k + 1 sliced copies of the opinions would take 9 MB.  The report is
+        the one a min and max of a slice per window gave."""
         rng = random.Random(3)
         s = sorted(rng.randint(0, 10**6) for _ in range(2000))
         inst = GameInstance(k=1000, beliefs=tuple(s))
