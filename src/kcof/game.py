@@ -208,8 +208,8 @@ def check_pure(inst: GameInstance, z: Sequence) -> PureCheck:
 
     They are informational for arbitrary vectors; at a verified equilibrium
     all three hold.  Every window's extremes are taken once, by C-level maps
-    over k + 1 shifted iterators of the opinions; a player tests the at most k + 1 windows that
-    hold her, and a False flag is not tested again.
+    over k + 1 shifted iterators of the opinions; a player tests the at most
+    k + 1 windows that hold her, and a False flag is not tested again.
     """
     zz = as_opinions(inst, z)
     n, k = inst.n, inst.k
@@ -217,9 +217,9 @@ def check_pure(inst: GameInstance, z: Sequence) -> PureCheck:
     view = sorted_view(zs)
     # windows[a]: the extremes of z_a..z_{a+k}; shift j yields each window's (j+1)-th
     # member, and the shifts are iterators, so this holds O(n + k) values, not O(n k)
-    lo = map(min, *[islice(zs, j, None) for j in range(k + 1)])
-    hi = map(max, *[islice(zs, j, None) for j in range(k + 1)])
-    windows = list(zip(lo, hi))
+    least = map(min, *[islice(zs, j, None) for j in range(k + 1)])
+    most = map(max, *[islice(zs, j, None) for j in range(k + 1)])
+    windows = list(zip(least, most))
     costs = []
     violations = []
     tie_seen = False
