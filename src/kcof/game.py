@@ -31,14 +31,14 @@ The ``tie_seen`` diagnostic on verdicts reports when such a boundary tie
 occurred, i.e. when the verdict could depend on the tie rule at all.
 
 :func:`best_response_dynamics` runs rounds of best replies in integers and
-ends on a verified equilibrium, a repeated state or the round cap.  Many
-runs without an equilibrium settle within a few rounds into a cycle of at
-most four interval patterns whose state shrinks toward a limit cycle by one
-exact ratio per period.  Such a run is proved to stay in the cycle for good:
-every comparison a round makes is linear along the segment from the next
-period to the limit, and a certificate checks that each has the same
-outcome at both ends.  The rounds left are then skipped by a closed form,
-and the result is exactly the one that running them gives.
+ends on a verified equilibrium, a repeated state or the round cap.  Most
+runs without an equilibrium settle into a cycle of interval patterns, of
+period up to 16, whose states tend to a limit cycle.  One certificate
+proves such a run stays in the cycle for good: an exact linear recurrence
+of its states gives the limit, and every comparison of a period keeps its
+outcome on a sup-norm box around the limit that holds all later states.
+The rounds left are then skipped by powering the recurrence, and the
+result is exactly the one that running them gives.
 """
 
 from __future__ import annotations
@@ -281,10 +281,10 @@ class DynamicsResult:
       state.
     - ``"exhausted"``: ``max_rounds`` rounds ran without either; ``opinions``
       is the last state.  This does not show that no equilibrium exists.
-      When the run was proved to settle into a shrinking cycle (see
+      When the run was proved to stay in a limit cycle (see
       :func:`best_response_dynamics`), the rounds after the proof are not
-      run: ``opinions`` comes from a closed form and is exactly the state
-      that running them reaches.
+      run: ``opinions`` comes from the cycle's recurrence and is exactly
+      the state that running them reaches.
     """
 
     outcome: str  # "converged" | "cycle" | "exhausted"
@@ -295,7 +295,8 @@ class DynamicsResult:
 
 MAX_ROUNDS = 1_000_000  # a skip still builds the state after all max_rounds rounds
 _STATE_WINDOW = 10_000  # bounded memory for cycle detection and tried patterns
-_MAX_PERIOD = 4  # longest period of interval patterns tested for a shrinking cycle
+_MAX_PERIOD = 16  # longest period of interval patterns a certificate covers
+_HISTORY = 16 * _MAX_PERIOD  # rounds of states kept for the certificate's recurrence
 
 _State = tuple[int, Sequence[int]]  # (m, opinions times inst.scale * m)
 
@@ -396,167 +397,153 @@ def _forced(s: Sequence[int], state: _State, i: int, owners: tuple[int, int]) ->
     return m << doubled, z
 
 
-def _ratio(new: _State, mid: _State, old: _State) -> Optional[tuple[int, int]]:
-    """(a, b) in lowest terms with new - mid = (a/b) (mid - old) != 0 and 0 < a < b.
+def _recurrence(vectors: Sequence[Sequence[int]]) -> Optional[list[int]]:
+    """Ints c_0 .. c_d, c_d > 0, of the shortest exact linear recurrence
+    c_0 w_{m-d} + ... + c_d w_m = 0 of the last vectors; None if there is none.
 
-    The differences are put on one integer scale and compared coordinate by
-    coordinate by cross-multiplication, which stops at the first mismatch.
+    Fraction-free elimination from the last vector back, each reduced row
+    kept in lowest terms with its combination of the vectors: the first to
+    reduce to 0 is w_{m-d}, and as w_{m-d+1} .. w_m are independent, c_0
+    and c_d are nonzero.
     """
-    scale = lcm(new[0], mid[0], old[0])
-    fn, fm, fo = scale // new[0], scale // mid[0], scale // old[0]
-    a = b = 0
-    for u, v, w in zip(new[1], mid[1], old[1]):
-        d, e = u * fn - v * fm, v * fm - w * fo
-        if b:
-            if d * b != a * e:
-                return None
-        elif e:
-            a, b = (d, e) if e > 0 else (-d, -e)
-            if not 0 < a < b:
-                return None
-        elif d:
-            return None
-    if not b:
-        return None
-    g = gcd(a, b)
-    return a // g, b // g
+    basis = []  # (pivot column, reduced row, its combination)
+    for j, w in enumerate(reversed(vectors)):
+        row, comb = list(w), [0] * len(vectors)
+        comb[j] = 1
+        for col, head, used in basis:
+            f, h = row[col], head[col]
+            if f:
+                row = [h * a - f * b for a, b in zip(row, head)]
+                comb = [h * a - f * b for a, b in zip(comb, used)]
+                g = gcd(*row, *comb)
+                row, comb = [a // g for a in row], [a // g for a in comb]
+        if not any(row):
+            return comb[j::-1] if comb[0] > 0 else [-a for a in comb[j::-1]]
+        basis.append((next(c for c, a in enumerate(row) if a), row, comb))
+    return None
 
 
-def _signs(si: int, z: Sequence[int], i: int, chosen: Sequence[int]) -> list[int]:
-    """Signs of z_j - s_i and z_j - z_i (every j) and z_j - z_l (j, l chosen)."""
-    zi = z[i]
-    return (
-        [(v > si) - (v < si) for v in z]
-        + [(v > zi) - (v < zi) for v in z]
-        + [(z[j] > z[l]) - (z[j] < z[l]) for j in chosen for l in chosen]
-    )
-
-
-def _agree(k: int, first: tuple, second: tuple, i: int, owners: tuple[int, int]) -> bool:
-    """Whether player i's update has the given owners everywhere between two states.
-
-    ``first`` and ``second`` are (s_i, z) at one integer scale each.  Player
-    i's full ranking must order the other players alike at both, the owners
-    at ``first`` must be ``owners``, and z_j - s_i, z_j - z_i (every j) and
-    z_j - z_l (j, l among the k chosen) must each have the same sign (-, 0
-    or +) at both.  Each of these is linear between the states, so then it
-    keeps its sign in between, every absolute value in a ranking key is
-    linear there, and two keys in the same order at both ends are in that
-    order throughout: every comparison of the update has one outcome.
-    """
-    (sa, za), (sb, zb) = first, second
-    order = ranked(za, i, sa, za[i])
-    if [j for _, _, j in order] != [j for _, _, j in ranked(zb, i, sb, zb[i])]:
-        return False
-    chosen = [j for _, _, j in order[:k]]
-    return (
-        _interval(za, sa, order, k)[2] == owners
-        and _signs(sa, za, i, chosen) == _signs(sb, zb, i, chosen)
-    )
-
-
-def _certify(
-    inst: GameInstance, ends: tuple[_State, _State], patterns: Sequence[Sequence[tuple[int, int]]]
-) -> bool:
-    """Whether the patterns repeat at every state on the segment between two ends.
-
-    Both ends run one period with the patterns forced, and every update
-    must pass :func:`_agree` between them.
-    """
-    s = inst.s_int
-    runs = [(m, list(z)) for m, z in ends]
-    for pattern in patterns:
-        for i, owners in enumerate(pattern):
-            (ma, za), (mb, zb) = runs
-            if not _agree(inst.k, (s[i] * ma, za), (s[i] * mb, zb), i, owners):
-                return False
-            runs = [_forced(s, run, i, owners) for run in runs]
+def _inside(q: Sequence[int]) -> bool:
+    """Whether every root of q lies strictly inside the unit circle, by the
+    Schur-Cohn recursion over Fractions."""
+    p = [Fraction(c) for c in q]
+    while len(p) > 1:
+        if abs(p[0]) >= abs(p[-1]):
+            return False
+        p = [p[-1] * a - p[0] * b for a, b in zip(p[1:], reversed(p[:-1]))]
     return True
 
 
-class _CycleWatch:
-    """Proves, after a round, that a run has settled into a shrinking cycle.
+def _power(poly: list[int], exp: int) -> tuple[list[int], int]:
+    """(a, t) with x**exp = (a_0 + a_1 x + ...) / c**t modulo ``poly``, ints of
+    degree d >= 2 and leading coefficient c: squaring from the top bit, where
+    each top term is reduced by c x**d = -(poly_0 + ... + poly_{d-1} x**(d-1))."""
+    d, c = len(poly) - 1, poly[-1]
+    a, t = [1], 0
+    for bit in bin(exp)[2:]:
+        square = [0] * (2 * len(a) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(a):
+                square[i + j] += u * v
+        a, t = ([0, *square] if bit == "1" else square), 2 * t
+        while len(a) > d:
+            top = a.pop()
+            a = [v * c for v in a]
+            for i in range(d):
+                a[len(a) - d + i] -= top * poly[i]
+            t += 1
+    return a, t
 
-    For a period p, when the last two periods used the same patterns and
-    d = x_r - x_{r-p} = lambda (x_{r-p} - x_{r-2p}) with d != 0 and
-    0 < lambda < 1, d is an eigenvector of the affine map of one period:
-    while the patterns repeat, x_{r+jp} = x_r + d lambda (1 - lambda^j) /
-    (1 - lambda).  :func:`_certify` proves that they repeat for good, from
-    the next period to the limit x_r + d lambda / (1 - lambda).
 
-    The work is bounded.  A round costs a comparison of its pattern with
-    the one p rounds back, for each p.  While the patterns repeat, each
-    phase's d is the one-period linear map applied to the d before it; after
-    n periods it has lost any component that the map sends to 0, so if it is
-    no eigenvector by then, it never becomes one.  So a streak of repeating
-    patterns is tested only on its t-th testable round (the p-th round of
-    the streak is the first) for t = 1, 2, 4, 8, ... and on its last, t =
-    p (n + 1), and its tests end when a certificate fails: at most
-    2 + log2(p (n + 1)) ratio tests per streak.  That bounds the work per
-    streak, not per run, since a run can break and restart many streaks.
-    A streak that testing every round would certify on its t-th testable
-    round is certified by its 2t-th or its last: while the patterns repeat,
-    an eigenvector d stays one, and a certificate that holds on a segment
-    holds on each later, shorter one.  A (p, patterns) whose certificate
-    failed is not certified again.
+def _keeps(k: int, i: int, si: int, lo, hi, forms: Sequence, owners: tuple[int, int]) -> bool:
+    """Whether player i's update has ``owners`` at every state y of the box
+    lo <= y <= hi in which the players of one form differ as at lo (two of
+    them with one lo value are one point, which the indices order): the k
+    chosen at the centre stay strictly nearest s_i, and each owner strictly
+    beyond s_i and the other chosen points on its side (-1: none may be).
     """
+    mid = [a + b for a, b in zip(lo, hi)]
+    chosen = [j for _, _, j in ranked(mid, i, 2 * si, mid[i])[:k]]
+    far = {j: max(hi[j] - si, si - lo[j]) for j in chosen}  # the greatest |y_j - s_i|
+    farthest = max(far.values(), default=0)
+    for other in range(len(lo)):
+        near = max(lo[other] - si, si - hi[other], 0)  # the least |y_other - s_i|
+        if other != i and other not in far and near <= farthest:
+            point = forms[other], lo[other]
+            if any(far[j] >= near and (forms[j], lo[j]) != point for j in chosen):
+                return False
+    mirrored = [-v for v in hi], [-v for v in lo], -si
+    for a, (lo, hi, si) in zip(owners, ((lo, hi, si), mirrored)):
+        if a < 0 and any(lo[j] < si for j in chosen):
+            return False
+        if a >= 0 and not (a in far and hi[a] < si and all(
+            a < j if (forms[a], lo[a]) == (forms[j], lo[j])
+            else (lo[a] if forms[a] == forms[j] else hi[a]) < lo[j]
+            for j in chosen if j != a
+        )):
+            return False
+    return True
 
-    def __init__(self, inst: GameInstance, m: int, z: Sequence[int]) -> None:
-        self.inst = inst
-        self.history: deque = deque([(m, tuple(z), None)], maxlen=2 * _MAX_PERIOD + 1)
-        self.streak = [0] * (_MAX_PERIOD + 1)  # rounds repeating the pattern p rounds back
-        self.due = [1] * (_MAX_PERIOD + 1)  # the streak's next testable round to test; 0: none
-        self.refused: set = set()
 
-    def skip(self, m: int, z: Sequence[int], pattern: tuple, left: int) -> Optional[Opinions]:
-        """Record a round's state (m, z); the state ``left`` rounds on once a cycle is proved."""
-        history, streak, due = self.history, self.streak, self.due
-        history.append((m, tuple(z), pattern))
-        for p in range(1, _MAX_PERIOD + 1):
-            if len(history) <= p or pattern != history[-1 - p][2]:
-                streak[p] = 0
-                due[p] = 1
-                continue
-            streak[p] += 1
-            t, end = streak[p] - p + 1, p * (self.inst.n + 1)
-            if t != due[p]:
-                continue
-            due[p] = min(2 * t, end) if t < end else 0
-            mid, old = history[-1 - p], history[-1 - 2 * p]
-            rate = _ratio(history[-1][:2], mid[:2], old[:2])
-            if rate is None:
-                continue
-            key = (p, tuple(history[m][2] for m in range(-p, 0)))
-            last = None if key in self.refused else self._certified(key[1], mid, rate, left)
-            if last is not None:
-                return last
-            due[p] = 0
-            if len(self.refused) < _STATE_WINDOW:
-                self.refused.add(key)
+def _limit_cycle(
+    inst: GameInstance, starts: Sequence[tuple], patterns: Sequence[tuple], left: int
+) -> Optional[Opinions]:
+    """The state ``left`` rounds on, if the run is proved to repeat ``patterns``
+    for good; else None.
+
+    ``starts`` are states (m, z, pattern) one period apart, the last the
+    current state u: each is F of the one before, for the period's map F(x)
+    = M x + b, M nonnegative with row sums <= 1.  The shortest recurrence of
+    the (u_j, 1) is P = (x - 1) q.  Unless q is a power of x or has a root
+    on or outside the unit circle (q(1) = 0 among them), the states tend to
+    x* = sum q_i u_i / q(1) without reaching it.  F never increases sup-norm
+    distances, so every later state lies, at each phase, in the box of
+    radius |u - x*| around the phase's limit; each update must keep its
+    owners over its box (:func:`_keeps`).  Players whose differences from
+    x* are equal at u share a variable, split when a period parts them.
+    The state after ``left`` rounds comes from x**J mod P.
+    """
+    n, s = inst.n, inst.s_int
+    scale = lcm(*(m for m, _, _ in starts))
+    us = [[v * (scale // m) for v in z] for m, z, _ in starts]
+    poly = _recurrence([[*u, scale] for u in us])
+    if poly is None:
         return None
-
-    def _certified(
-        self, patterns: tuple, mid: tuple, rate: tuple[int, int], left: int
-    ) -> Optional[Opinions]:
-        """The state ``left`` rounds on if the certificate holds, else None."""
-        m, z, _ = self.history[-1]
-        a, b = rate
-        scale = lcm(m, mid[0])
-        f, g = scale // m, scale // mid[0]
-        step = [u * f - v * g for u, v in zip(z, mid[1])]  # d, at scale
-        limit = (scale * (b - a), [u * f * (b - a) + a * e for u, e in zip(z, step)])
-        if not _certify(self.inst, ((m, z), limit), patterns):
-            return None
-        p = len(patterns)
-        periods, q = divmod(left, p)
-        bj = b**periods
-        c = a * (bj - a**periods) // (b - a)  # b^j (lambda + ... + lambda^j)
-        state = (scale * bj, [u * f * bj + c * e for u, e in zip(z, step)])
-        for pattern in patterns[:q]:
+    us = us[-len(poly) :]
+    q = [sum(poly[i + 1 :]) for i in range(len(poly) - 1)]  # P / (x - 1)
+    if sum(map(bool, q)) == 1 or not _inside(q):
+        return None
+    m = scale * sum(q)
+    limit = [sum(c * u[j] for c, u in zip(q, us)) for j in range(n)]
+    group = [u * (m // scale) - x for u, x in zip(us[-1], limit)]  # u - x*; 0: at x*
+    rho = max(map(abs, group))
+    both = s + s  # the beliefs of the box's lower ends, then of its upper ends
+    while True:
+        spread = [rho if g else 0 for g in group]
+        box = (m, [x - r for x, r in zip(limit, spread)] + [x + r for x, r in zip(limit, spread)])
+        # coefficients over 2**(p n): an update halves them, and a period has p n updates
+        forms = [frozenset({(g, 1 << len(patterns) * n)} if g else ()) for g in group]
+        for pattern in patterns:
             for i, owners in enumerate(pattern):
-                state = _forced(self.inst.s_int, state, i, owners)
-        m, z = state
-        return tuple(Fraction(v, self.inst.scale * m) for v in z)
+                if not _keeps(inst.k, i, s[i] * box[0], box[1][:n], box[1][n:], forms, owners):
+                    return None
+                box = _forced(both, box, i, owners)
+                box = _forced(both, box, n + i, tuple(j + n if j >= 0 else j for j in owners))
+                mean: dict = {}
+                for g, c in (item for j in owners if j >= 0 for item in forms[j]):
+                    mean[g] = mean.get(g, 0) + c // 2
+                forms[i] = frozenset(mean.items())
+        ends = set(zip(group, forms))
+        if len(ends) == len(set(group)) and all(g or not e for g, e in ends):
+            break
+        group = [(g, e) if g or e else 0 for g, e in zip(group, forms)]
+    periods, rest = divmod(left, len(patterns))
+    a, t = _power(poly, len(us) - 1 + periods)
+    state = (scale * poly[-1] ** t, [sum(c * u[j] for c, u in zip(a, us)) for j in range(n)])
+    for pattern in patterns[:rest]:
+        for i, owners in enumerate(pattern):
+            state = _forced(s, state, i, owners)
+    return tuple(Fraction(v, inst.scale * state[0]) for v in state[1])
 
 
 def best_response_dynamics(
@@ -581,26 +568,17 @@ def best_response_dynamics(
     ``"exhausted"`` after ``max_rounds`` rounds, at most :data:`MAX_ROUNDS`;
     see :class:`DynamicsResult`.
 
-    Many runs without an equilibrium settle into a cycle of p rounds whose
-    patterns repeat while the state shrinks toward a limit cycle by one
-    exact ratio lambda per period.  After each round the run tests every
-    period p <= 4: the last two periods used the same patterns and
-    x_r - x_{r-p} = lambda (x_{r-p} - x_{r-2p}) != 0 with 0 < lambda < 1.
-    Then, while the patterns repeat, the state just before each player's
-    update moves along a segment, from its value in the next period to its
-    limit.  The certificate checks, at both ends of each of the p n
-    segments, that the ranking, the interval's owners and the signs of all
-    the differences they compare agree (see :func:`_certify`).  Each of
-    those differences is linear along the segment, so every comparison a
-    round makes keeps its outcome: the patterns repeat for good.  Every
-    round then moves the state; no state repeats, since a repeat would make
-    the distinct states x_{r+jp} periodic; and every later pattern has been
-    solved and rejected already.  So the run would end ``"exhausted"``
-    after ``max_rounds``, and it returns that at once, with the state from
-    the closed form x_r + d lambda (1 - lambda^j) / (1 - lambda) followed by
-    the remaining q < p rounds of the patterns.  Each (p, patterns) is
-    certified at most once; a run without a certificate goes on round by
-    round.
+    Many runs without an equilibrium settle into a cycle of p <= 16 rounds
+    whose patterns repeat while the states tend to a limit cycle.  On
+    log-spaced rounds of such a streak the run tries one certificate
+    (:func:`_limit_cycle`): an exact recurrence of the states one period
+    apart gives the limit, and every comparison of the period keeps its
+    outcome on sup-norm boxes around the limit that hold all later states.
+    Then the patterns repeat for good, no state repeats, no round leaves the
+    state unchanged, and every later pattern has been solved and rejected
+    already.  So the run would end ``"exhausted"`` after ``max_rounds``; it
+    returns that at once, with the state the recurrence gives.  A run
+    without a certificate goes on round by round.
 
     The state is integers z over d0 * 2**e, with d0 and the beliefs s0 from
     :meth:`GameInstance.at`, belief i read as s0_i << e.  An odd midpoint
@@ -614,7 +592,7 @@ def best_response_dynamics(
 
     n, k = inst.n, inst.k
     d0, s0, z = inst.at(start)
-    e, f = 0, d0 // inst.scale  # the watch's states are over inst.scale * (f << e)
+    e, f = 0, d0 // inst.scale  # the history's states are over inst.scale * (f << e)
 
     def snapshot() -> Opinions:
         return tuple(Fraction(v, d0 << e) for v in z)
@@ -630,7 +608,8 @@ def best_response_dynamics(
 
     seen: dict[bytes, int] = {state_key(): 0}
     tried: set[tuple[tuple[int, int], ...]] = set()
-    watch = _CycleWatch(inst, f, z)
+    history: deque = deque([(f, tuple(z), None)], maxlen=_HISTORY + 1)  # (m, z, pattern)
+    streak = [0] * (_MAX_PERIOD + 1)  # rounds in a row repeating the pattern p rounds back
     pattern: list[tuple[int, int]] = [(-1, -1)] * n
 
     for rounds in range(1, max_rounds + 1):
@@ -666,8 +645,21 @@ def best_response_dynamics(
             return DynamicsResult("cycle", snapshot(), rounds, period=rounds - seen[key])
         if len(seen) < _STATE_WINDOW:
             seen[key] = rounds
-        if rounds < max_rounds:
-            last = watch.skip(f << e, z, frozen, max_rounds - rounds)
+        if rounds == max_rounds:
+            break
+        history.append((f << e, tuple(z), frozen))
+        for p in range(1, _MAX_PERIOD + 1):
+            streak[p] = streak[p] + 1 if len(history) > p and frozen == history[-1 - p][2] else 0
+        # the period whose repeats reach furthest back, the shortest of those, is
+        # tried on the t-th round of its streak for t = 1, 2, 4, ...: at most
+        # 1 + log2(r) tries in a streak of r rounds, while its boxes shrink
+        reach = [streak[p] + p if streak[p] >= p else 0 for p in range(_MAX_PERIOD + 1)]
+        p = reach.index(max(reach))
+        t = streak[p] - p + 1
+        if p and not t & (t - 1):
+            kept = list(history)
+            starts = kept[-1 - min(reach[p], len(kept) - 1) // p * p :: p]
+            last = _limit_cycle(inst, starts, [h[2] for h in kept[-p:]], max_rounds - rounds)
             if last is not None:
                 return DynamicsResult("exhausted", last, max_rounds)
     return DynamicsResult("exhausted", snapshot(), max_rounds)
