@@ -400,12 +400,9 @@ def _forced(s: Sequence[int], state: _State, i: int, owners: tuple[int, int]) ->
 def _recurrence(vectors: Sequence[Sequence[int]]) -> Optional[list[int]]:
     """Ints c_0 .. c_d, c_d > 0, of the shortest exact linear recurrence
     c_0 w_{m-d} + ... + c_d w_m = 0 of the last vectors; None if there is none.
-
-    Fraction-free elimination from the last vector back, each reduced row
-    kept in lowest terms with its combination of the vectors: the first to
-    reduce to 0 is w_{m-d}, and as w_{m-d+1} .. w_m are independent, c_0
-    and c_d are nonzero.
-    """
+    By fraction-free elimination from the last vector back, each row in lowest
+    terms with its combination of the vectors; as w_{m-d+1} .. w_m are
+    independent, c_0 and c_d are nonzero."""
     basis = []  # (pivot column, reduced row, its combination)
     for j, w in enumerate(reversed(vectors)):
         row, comb = list(w), [0] * len(vectors)
@@ -436,7 +433,7 @@ def _inside(q: Sequence[int]) -> bool:
 
 def _power(poly: list[int], exp: int) -> tuple[list[int], int]:
     """(a, t) with x**exp = (a_0 + a_1 x + ...) / c**t modulo ``poly``, ints of
-    degree d >= 2 and leading coefficient c: squaring from the top bit, where
+    degree d >= 1 and leading coefficient c: squaring from the top bit, where
     each top term is reduced by c x**d = -(poly_0 + ... + poly_{d-1} x**(d-1))."""
     d, c = len(poly) - 1, poly[-1]
     a, t = [1], 0
@@ -501,7 +498,7 @@ def _limit_cycle(
     radius |u - x*| around the phase's limit; each update must keep its
     owners over its box (:func:`_keeps`).  Players whose differences from
     x* are equal at u share a variable, split when a period parts them.
-    The state after ``left`` rounds comes from x**J mod P.
+    The state after ``left`` rounds comes from x**J mod q.
     """
     n, s = inst.n, inst.s_int
     scale = lcm(*(m for m, _, _ in starts))
@@ -515,8 +512,8 @@ def _limit_cycle(
         return None
     m = scale * sum(q)
     limit = [sum(c * u[j] for c, u in zip(q, us)) for j in range(n)]
-    group = [u * (m // scale) - x for u, x in zip(us[-1], limit)]  # u - x*; 0: at x*
-    rho = max(map(abs, group))
+    gaps = [[v * (m // scale) - x for v, x in zip(u, limit)] for u in us]  # u_j - x*
+    group, rho = gaps[-1], max(map(abs, gaps[-1]))  # one gap, one variable; 0: at x*
     both = s + s  # the beliefs of the box's lower ends, then of its upper ends
     while True:
         spread = [rho if g else 0 for g in group]
@@ -537,9 +534,11 @@ def _limit_cycle(
         if len(ends) == len(set(group)) and all(g or not e for g, e in ends):
             break
         group = [(g, e) if g or e else 0 for g, e in zip(group, forms)]
+    # u_J = x* + sum r_i (u_i - x*) for r = x**J mod q, as x**J mod P is 1 at x = 1
     periods, rest = divmod(left, len(patterns))
-    a, t = _power(poly, len(us) - 1 + periods)
-    state = (scale * poly[-1] ** t, [sum(c * u[j] for c, u in zip(a, us)) for j in range(n)])
+    r, t = _power(q, len(us) - 1 + periods)
+    c = q[-1] ** t
+    state = (m * c, [x * c + sum(a * g[j] for a, g in zip(r, gaps)) for j, x in enumerate(limit)])
     for pattern in patterns[:rest]:
         for i, owners in enumerate(pattern):
             state = _forced(s, state, i, owners)
