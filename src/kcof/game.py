@@ -422,12 +422,13 @@ def _recurrence(vectors: Sequence[Sequence[int]]) -> Optional[list[int]]:
 
 def _inside(q: Sequence[int]) -> bool:
     """Whether every root of q lies strictly inside the unit circle, by the
-    Schur-Cohn recursion over Fractions."""
-    p = [Fraction(c) for c in q]
+    Schur-Cohn recursion on monic Fractions (in lowest terms, so their size
+    grows with the degree, not twofold per step as unreduced ints would)."""
+    p = [Fraction(c, q[-1]) for c in q]
     while len(p) > 1:
-        if abs(p[0]) >= abs(p[-1]):
+        if abs(p[0]) >= 1:
             return False
-        p = [p[-1] * a - p[0] * b for a, b in zip(p[1:], reversed(p[:-1]))]
+        p = [(a - p[0] * b) / (1 - p[0] ** 2) for a, b in zip(p[1:], reversed(p[:-1]))]
     return True
 
 

@@ -464,6 +464,20 @@ class TestLimitCycle:
         assert game._limit_cycle(self.inst, states(*turn, turn[0]), self.patterns, 10) is None
         assert not game._inside([1] * order) and game._inside([1, 2]) and game._inside([-1, 0, 4])
 
+    def test_the_root_test_is_exact_at_high_degree(self):
+        # q = prod (16 x - r) for roots r / 16: degree 31 takes milliseconds
+        # (a recursion on unreduced ints doubles its bit sizes per degree)
+        def poly(roots):
+            q = [1]
+            for r in roots:
+                q = [16 * b - r * a for a, b in zip([*q, 0], [0, *q])]
+            return q
+
+        inside = list(range(-15, 16))
+        assert game._inside(poly(inside))
+        for bad in (16, -16, 17):
+            assert not game._inside(poly([*inside[1:], bad]))
+
     def test_refuses_a_run_at_its_fixed_point(self):
         # the last two states are equal: P = x - 1, and q = 1 is a power of x
         still = states((0, 0), (1, 1), (1, 1))
