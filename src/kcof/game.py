@@ -9,9 +9,10 @@ opinions, which makes pure-equilibrium verification an exact midpoint test.
 
 Inputs and results are ``fractions.Fraction`` and every comparison is exact.
 Inside, a check reads the beliefs as integers from :class:`GameInstance`,
-which scales them once (``s_int`` at ``scale``), puts the opinions on a
-common scale with them (:meth:`GameInstance.at`; Python ints never
-overflow), sorts the opinions once (:func:`kcof._accel.sorted_view`) and
+which holds them so (``s_int`` at ``scale``; ``beliefs`` is their
+:class:`kcof.rationals.Scaled` view), puts the opinions on a common scale
+with them (:meth:`GameInstance.at`; Python ints never overflow), sorts the
+opinions once (:func:`kcof._accel.sorted_view`) and
 ranks each player once with :func:`kcof._accel.span`, the one place that
 applies the neighbour tie rule and takes the interval spanning s_i and the
 chosen opinions.  It walks out from s_i through the sorted values, one
@@ -38,7 +39,8 @@ proves such a run stays in the cycle for good: an exact linear recurrence
 of its states gives the limit, and every comparison of a period keeps its
 outcome on a sup-norm box around the limit that holds all later states.
 The rounds left are then skipped by powering the recurrence, and the
-result is exactly the one that running them gives.
+result is exactly the one that running them gives, as ints: its Fractions
+are made only when read.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from ._accel import first_unstable, ranked, scaled, sorted_view, span
-from .rationals import to_fraction
+from ._accel import first_unstable, ranked, sorted_view, span
+from .rationals import Scaled, as_scaled
 
 __all__ = [
     "GameInstance",
@@ -70,13 +72,15 @@ __all__ = [
     "MAX_ROUNDS",
 ]
 
-Opinions = tuple[Fraction, ...]
+Opinions = Sequence[Fraction]  # a tuple, or a Scaled that reads as one
 
 
 @dataclass(frozen=True)
 class GameInstance:
-    """Neighborhood size k plus the sorted belief vector, and the beliefs as
-    integers: ``s_int``, the beliefs times ``scale``, their lcm denominator."""
+    """Neighborhood size k plus the sorted beliefs, held as integers:
+    ``s_int``, the beliefs times ``scale``, their lcm denominator.
+    ``beliefs`` is their :class:`kcof.rationals.Scaled`, which reads,
+    compares and hashes as the tuple of their Fractions."""
 
     k: int
     beliefs: Opinions
@@ -87,12 +91,14 @@ class GameInstance:
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise ValueError("k must be a positive integer")
-        beliefs = tuple(b if type(b) is Fraction else to_fraction(b) for b in self.beliefs)
-        object.__setattr__(self, "beliefs", beliefs)
-        n = len(beliefs)
+        beliefs = as_scaled(self.beliefs)
+        g = gcd(beliefs.scale, *beliefs.ints)  # > 1 only for a Scaled over a multiple of the lcm
+        if g > 1:
+            beliefs = Scaled(beliefs.scale // g, [v // g for v in beliefs.ints])
+        scale, s_int = beliefs.scale, beliefs.ints
+        n = len(s_int)
         if n < self.k + 1:
             raise ValueError(f"need at least k+1={self.k + 1} players, got {n}")
-        scale, s_int = scaled(beliefs)
         for i in range(n - 1):
             if s_int[i] > s_int[i + 1]:
                 raise ValueError(
@@ -104,23 +110,26 @@ class GameInstance:
             if len(labels) != n:
                 raise ValueError("labels length must equal the number of players")
             object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "beliefs", beliefs)
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "s_int", tuple(s_int))
+        object.__setattr__(self, "s_int", s_int)
 
     @property
     def n(self) -> int:
-        return len(self.beliefs)
+        return len(self.s_int)
 
-    def at(self, values: Sequence[Fraction]) -> tuple[int, list[int], list[int]]:
+    def at(self, values: Iterable) -> tuple[int, list[int], list[int]]:
         """(d, the beliefs times d, the values times d) at the lcm d of
-        ``scale`` and the values' denominators."""
-        d, ints = scaled((Fraction(1, self.scale), *values))
-        return d, [v * ints[0] for v in self.s_int], ints[1:]
+        ``scale`` and the scale of the values' :func:`kcof.rationals.as_scaled`."""
+        z = as_scaled(values)
+        d = lcm(self.scale, z.scale)
+        f, g = d // self.scale, d // z.scale
+        return d, [v * f for v in self.s_int], [v * g for v in z.ints]
 
 
-def as_opinions(inst: GameInstance, values: Iterable) -> Opinions:
+def as_opinions(inst: GameInstance, values: Iterable) -> Scaled:
     """Validate and convert one opinion per player."""
-    z = tuple(v if type(v) is Fraction else to_fraction(v) for v in values)
+    z = as_scaled(values)
     if len(z) != inst.n:
         raise ValueError(f"expected {inst.n} opinions, got {len(z)}")
     return z
@@ -285,6 +294,9 @@ class DynamicsResult:
       :func:`best_response_dynamics`), the rounds after the proof are not
       run: ``opinions`` comes from the cycle's recurrence and is exactly
       the state that running them reaches.
+
+    ``opinions`` is a :class:`kcof.rationals.Scaled` of the run's integer
+    state, whose Fractions are made on the first read.
     """
 
     outcome: str  # "converged" | "cycle" | "exhausted"
@@ -485,7 +497,7 @@ def _keeps(k: int, i: int, si: int, lo, hi, forms: Sequence, owners: tuple[int, 
 
 def _limit_cycle(
     inst: GameInstance, starts: Sequence[tuple], patterns: Sequence[tuple], left: int
-) -> Optional[Opinions]:
+) -> Optional[Scaled]:
     """The state ``left`` rounds on, if the run is proved to repeat ``patterns``
     for good; else None.
 
@@ -543,7 +555,7 @@ def _limit_cycle(
     for pattern in patterns[:rest]:
         for i, owners in enumerate(pattern):
             state = _forced(s, state, i, owners)
-    return tuple(Fraction(v, inst.scale * state[0]) for v in state[1])
+    return Scaled(inst.scale * state[0], state[1])
 
 
 def best_response_dynamics(
@@ -583,8 +595,8 @@ def best_response_dynamics(
     The state is integers z over d0 * 2**e, with d0 and the beliefs s0 from
     :meth:`GameInstance.at`, belief i read as s0_i << e.  An odd midpoint
     doubles z; after a round z is halved while e > 0 and all of it is even,
-    so equal states hash equally.  Fractions are built only for the
-    returned state.
+    so equal states hash equally.  The returned state is a
+    :class:`kcof.rationals.Scaled` of those ints, with no Fraction built.
     """
     if not 1 <= max_rounds <= MAX_ROUNDS:
         raise ValueError(f"max_rounds {max_rounds} is outside 1 to {MAX_ROUNDS}, the dynamics cap")
@@ -594,8 +606,8 @@ def best_response_dynamics(
     d0, s0, z = inst.at(start)
     e, f = 0, d0 // inst.scale  # the history's states are over inst.scale * (f << e)
 
-    def snapshot() -> Opinions:
-        return tuple(Fraction(v, d0 << e) for v in z)
+    def snapshot() -> Scaled:
+        return Scaled(d0 << e, z)
 
     def state_key() -> bytes:
         # binary encoding: decimal conversion of huge numerators is capped
@@ -639,7 +651,7 @@ def best_response_dynamics(
                 candidate = det * inst.scale, [v * det for v in inst.s_int], y
         if candidate is not None and first_unstable(candidate[1], candidate[2], k) < 0:
             d, _, y = candidate
-            return DynamicsResult("converged", tuple(Fraction(v, d) for v in y), rounds)
+            return DynamicsResult("converged", Scaled(d, y), rounds)
         key = state_key()
         if key in seen:
             return DynamicsResult("cycle", snapshot(), rounds, period=rounds - seen[key])

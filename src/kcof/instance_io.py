@@ -13,18 +13,25 @@ Schema::
 Rationals are serialized as strings ("-21/2"; decimal strings are parsed
 exactly), never as JSON floats: exactness is the product.  Round-tripping a
 document is value-identical.
+
+Each list of values (the beliefs, the opinions, each support pair) is read
+in one pass as ints over its lcm denominator (:func:`kcof.rationals.as_scaled`);
+an error names the value's place ("opinions[3]").  The beliefs become the
+instance's ``s_int``, and the opinions stay a :class:`kcof.rationals.Scaled`
+whose ``Fraction``s are made only when read.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
 from .game import GameInstance, Opinions, as_opinions
 from .mixed import RandomizedOpinions, as_randomized
-from .rationals import format_rational, to_fraction
+from .rationals import as_scaled, format_ratio, format_rational
 
 __all__ = [
     "InstanceFormatError",
@@ -46,18 +53,6 @@ class InstanceDocument:
     mixed: Optional[RandomizedOpinions] = None
 
 
-def _rational(value, where: str, *at: int):
-    """The value as a Fraction; an error names it as ``where.format(*at)``."""
-    if isinstance(value, float):
-        raise InstanceFormatError(
-            f"{where.format(*at)}: JSON floats are not exact; write the value as a string"
-        )
-    try:
-        return to_fraction(value)
-    except (ValueError, TypeError) as exc:
-        raise InstanceFormatError(f"{where.format(*at)}: {exc}") from exc
-
-
 def load_instance(path: str | Path) -> InstanceDocument:
     """Parse and validate an instance file."""
     try:
@@ -67,6 +62,16 @@ def load_instance(path: str | Path) -> InstanceDocument:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return _document(raw)
+    except InstanceFormatError:
+        raise
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from exc
+
+
+def _document(raw) -> InstanceDocument:
+    """The document of a parsed file; a ValueError names what is malformed."""
     if not isinstance(raw, dict):
         raise InstanceFormatError("top-level JSON value must be an object")
 
@@ -81,52 +86,44 @@ def load_instance(path: str | Path) -> InstanceDocument:
         raise InstanceFormatError('"k" must be an integer')
     if not isinstance(raw["beliefs"], list):
         raise InstanceFormatError('"beliefs" must be a list')
-    beliefs = [_rational(v, "beliefs[{}]", i) for i, v in enumerate(raw["beliefs"])]
+    beliefs = as_scaled(raw["beliefs"], "beliefs[{}]".format)
     labels = raw.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise InstanceFormatError('"labels" must be a list of strings')
         labels = tuple(labels)
-    try:
-        inst = GameInstance(k=k, beliefs=tuple(beliefs), labels=labels)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from exc
+    inst = GameInstance(k=k, beliefs=beliefs, labels=labels)
 
     opinions = None
     if raw.get("opinions") is not None:
         if not isinstance(raw["opinions"], list):
             raise InstanceFormatError('"opinions" must be a list')
-        vals = [_rational(v, "opinions[{}]", i) for i, v in enumerate(raw["opinions"])]
-        try:
-            opinions = as_opinions(inst, vals)
-        except ValueError as exc:
-            raise InstanceFormatError(str(exc)) from exc
+        opinions = as_opinions(inst, as_scaled(raw["opinions"], "opinions[{}]".format))
 
     mixed = None
     if raw.get("mixed") is not None:
         if not isinstance(raw["mixed"], list):
             raise InstanceFormatError('"mixed" must be a list (one support per player)')
-        supports = []
+        flat, places, fault = [], [], None  # the pairs' values, and (i, j) of each pair
         for i, sup in enumerate(raw["mixed"]):
             if not isinstance(sup, list):
-                raise InstanceFormatError(f"mixed[{i}] must be a list of [opinion, prob] pairs")
-            pairs = []
+                fault = f"mixed[{i}] must be a list of [opinion, prob] pairs"
+                break
             for j, pair in enumerate(sup):
                 if not isinstance(pair, list) or len(pair) != 2:
-                    raise InstanceFormatError(
-                        f"mixed[{i}][{j}] must be an [opinion, prob] pair"
-                    )
-                pairs.append(
-                    (
-                        _rational(pair[0], "mixed[{}][{}] opinion", i, j),
-                        _rational(pair[1], "mixed[{}][{}] probability", i, j),
-                    )
-                )
-            supports.append(tuple(pairs))
-        try:
-            mixed = as_randomized(inst, tuple(supports))
-        except ValueError as exc:
-            raise InstanceFormatError(str(exc)) from exc
+                    fault = f"mixed[{i}][{j}] must be an [opinion, prob] pair"
+                    break
+                flat += pair
+                places.append((i, j))
+            if fault:
+                break
+        # a bad value before the first malformed support or pair is reported first
+        kinds = ("opinion", "probability")
+        values = as_scaled(flat, lambda t: "mixed[{}][{}] {}".format(*places[t // 2], kinds[t % 2]))
+        if fault:
+            raise InstanceFormatError(fault)
+        pairs = iter(zip(values[::2], values[1::2]))
+        mixed = as_randomized(inst, tuple(tuple(islice(pairs, len(sup))) for sup in raw["mixed"]))
 
     return InstanceDocument(instance=inst, opinions=opinions, mixed=mixed)
 
@@ -139,7 +136,7 @@ def document_dict(
     """Serializable dict in the instance-file schema."""
     doc: dict = {
         "k": inst.k,
-        "beliefs": [format_rational(b) for b in inst.beliefs],
+        "beliefs": [format_ratio(v, inst.scale) for v in inst.s_int],
     }
     if inst.labels is not None:
         doc["labels"] = list(inst.labels)

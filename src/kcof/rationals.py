@@ -1,56 +1,128 @@
 """Exact rational parsing and formatting.
 
-The package's API takes and returns exact values as ``fractions.Fraction``
-(or int).  Inside, the checks and solvers work on ints at a common scale,
-and the CLI formats a check's costs from them with :func:`format_ratio`.
-Floats are rejected at all boundaries: the solvers decide strict
-inequalities and exact ties, and a single rounded comparison would corrupt
-verdicts.
+The package's API takes exact values as ``fractions.Fraction``, int or
+string.  Inside, the checks and solvers work on ints at a common scale: a
+list of values is read in one pass (:func:`as_scaled`) into a
+:class:`Scaled`, the ints times the lcm of the values' denominators, and
+the API hands out its ``Fraction`` values, made when first read.  The CLI
+formats a check's costs from ints with :func:`format_ratio`.  Floats are
+rejected at all boundaries: the solvers decide strict inequalities and exact
+ties, and a single rounded comparison would corrupt verdicts.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from typing import Callable, Iterable, Optional
 
 # Unicode minus/dash variants occasionally found in hand-written input files.
 _DASHES = {"−": "-", "–": "-", "—": "-"}
-# what instance files hold: an ASCII integer or integer ratio, read by int()
-_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# what instance files hold: ASCII integers or integer ratios, read by int()
+_PLAIN_LIST = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
 
 
 def to_fraction(value: Fraction | int | str) -> Fraction:
     """Convert an exact value to Fraction, rejecting floats."""
-    if type(value) is str:  # an instance file's values: skip the slower tests below
-        return parse_rational(value)
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("booleans are not rational values")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    raise TypeError(
-        f"expected Fraction, int, or string, got {type(value).__name__}"
-        " (floats are not exact; pass a string like '2.5' or '-21/2')"
-    )
+    return value if type(value) is Fraction else as_scaled((value,))[0]
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "3", "-21/2", or "2.5" into an exact Fraction."""
-    plain = _PLAIN.fullmatch(text)
-    if plain:
-        num, den = plain.groups()
-        try:
-            if den is None:
-                return Fraction(int(num))
-            if int(den):
-                return Fraction(int(num), int(den))
-        except ValueError:  # past the interpreter's digit limit: reported below
-            pass
-    return _parse_text(text)
+parse_rational = to_fraction  # parses "3", "-21/2", or "2.5" into an exact Fraction
+
+
+class Scaled(Sequence):
+    """Exact values held as ints over one positive scale: value i is
+    ``ints[i] / scale``.  It reads as the tuple of those values, as
+    ``Fraction``s made on the first read, and equals and hashes as that tuple."""
+
+    __slots__ = ("scale", "ints", "_values")
+
+    def __init__(self, scale: int, ints: Iterable[int]) -> None:
+        self.scale, self.ints, self._values = scale, tuple(ints), None
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        if self._values is None:
+            self._values = tuple(Fraction(v, self.scale) for v in self.ints)
+        return self._values
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def __getitem__(self, i):
+        return self.values[i]
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __eq__(self, other):
+        if isinstance(other, Scaled):
+            if other.scale == self.scale:
+                return self.ints == other.ints
+            other = other.values
+        return self.values == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __repr__(self) -> str:
+        return repr(self.values)
+
+
+def as_scaled(values: Iterable, where: Optional[Callable[[int], str]] = None) -> Scaled:
+    """The values as ints over the lcm of their denominators, in one pass.
+
+    A list of what instance files hold, ASCII "n" and "n/m", is matched once,
+    joined by commas, and each value read by int(), which refuses a value
+    that holds a comma and digits past its limit.  Otherwise each value is
+    read alone: a Fraction or an int as it is, a string by
+    :func:`_parse_text`, and anything else, floats and booleans among them,
+    is refused.  A Scaled is returned as it is.  With ``where``, the values
+    are an instance file's: an error is a ValueError that starts with the
+    value's place, ``where(i)``, and a float is refused as a JSON float.
+    """
+    if type(values) is Scaled:
+        return values
+    values = list(values)
+    nums, dens = [], []
+    try:
+        if not _PLAIN_LIST.fullmatch(",".join(values)):
+            raise ValueError("not all plain")
+        for v in values:
+            num, _, den = v.partition("/")
+            num, den = int(num), int(den or 1)
+            if not den:  # "n/0": reported below
+                raise ZeroDivisionError(v)
+            g = gcd(num, den)
+            nums.append(num // g)
+            dens.append(den // g)
+    except (TypeError, ValueError, ZeroDivisionError):
+        nums, dens = [], []
+        for i, v in enumerate(values):
+            try:
+                if type(v) is Fraction:
+                    pass
+                elif isinstance(v, str):
+                    v = _parse_text(v)
+                elif isinstance(v, bool):
+                    raise TypeError("booleans are not rational values")
+                elif where and isinstance(v, float):
+                    raise TypeError("JSON floats are not exact; write the value as a string")
+                elif not isinstance(v, (Fraction, int)):
+                    raise TypeError(
+                        f"expected Fraction, int, or string, got {type(v).__name__}"
+                        " (floats are not exact; pass a string like '2.5' or '-21/2')"
+                    )
+            except (ValueError, TypeError) as exc:
+                if where is None:
+                    raise
+                raise ValueError(f"{where(i)}: {exc}") from exc
+            nums.append(v.numerator)
+            dens.append(v.denominator)
+    d = lcm(*dens)
+    return Scaled(d, nums if d == 1 else [v * (d // q) for v, q in zip(nums, dens)])
 
 
 def _parse_text(text: str) -> Fraction:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -193,6 +194,36 @@ class TestCheck:
         assert note in capsys.readouterr().out
         assert main(["check", eq_file]) == 0
         assert note not in capsys.readouterr().out
+
+    def test_a_plain_file_is_checked_without_a_fraction_per_value(self, tmp_path, capsys, monkeypatch):
+        # 28 players, k = 1, in pairs of equal beliefs in halves and quarters:
+        # truthful opinions are an equilibrium, and three of them are moved
+        rng = random.Random(28)
+        beliefs = sorted(2 * [F(rng.randint(0, 8000), rng.choice((1, 2, 4))) for _ in range(14)])
+        opinions = list(beliefs)
+        for i in rng.sample(range(28), 3):
+            opinions[i] += F(rng.randint(1, 40), rng.randint(1, 8))
+        doc = {"k": 1, "beliefs": [str(v) for v in beliefs], "opinions": [str(v) for v in opinions]}
+        path = tmp_path / "plain28.json"
+        path.write_text(json.dumps(doc))
+        made = []
+        new = F.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counting)
+        assert main(["check", "--json", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)["pure"]
+        assert len(report["player_costs"]) == 28 and 1 <= len(report["violations"]) <= 6
+        assert len(made) < 28, made
+        monkeypatch.undo()
+        # the document's values are the file's, and its instance equals and
+        # hashes as the one built from Fractions
+        loaded = load_instance(path)
+        assert loaded.opinions == tuple(opinions)
+        assert loaded.instance == GameInstance(1, beliefs) and hash(loaded.instance) == hash(GameInstance(1, beliefs))
 
 
 class TestSolve:

@@ -303,6 +303,22 @@ class TestSkipShrinkingCycles:
         before = best_response_dynamics(inst, inst.beliefs, 99_997).opinions
         assert got.opinions == best_response_dynamics(inst, before, 3).opinions
 
+    def test_a_skip_to_the_cap_makes_no_fraction_of_its_state(self, monkeypatch):
+        # after 10**6 rounds of the two-rate run the state's ints have about
+        # 3.5 million bits; its Fractions are made only when it is read
+        inst = GameInstance(k=2, beliefs=(-79, -67, -30, -4, -2, 69, 83, 86))
+        bits = [0]
+        new = F.__new__
+
+        def counting(cls, *args, **kwargs):
+            bits.extend(a.bit_length() for a in args if type(a) is int)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counting)
+        got = best_response_dynamics(inst, inst.beliefs, game.MAX_ROUNDS)
+        assert (got.outcome, got.rounds) == ("exhausted", game.MAX_ROUNDS)
+        assert max(bits) < 1000 < 10**6 < max(v.bit_length() for v in got.opinions.ints)
+
     def test_rounds_above_the_cap_are_refused(self):
         # a skip builds the state after all max_rounds rounds, whose
         # denominators grow by 2 bits a round on this gadget
