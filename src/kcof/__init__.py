@@ -18,10 +18,10 @@ and social costs and every player's best deterministic deviation.
 
 Every check and solver works on the pure-Python integer core of
 :mod:`kcof._accel` (``kernel_backend`` is always ``"python"``), which defines
-each piece once: the integer scale (:func:`kcof._accel.scaled`), the
-neighbour tie rule (:func:`kcof._accel.ranked`) and the span of a player's
-belief and chosen neighbours (:func:`kcof._accel.span`).  Every check and
-solver reads the integer beliefs of :attr:`GameInstance.s_int`, made once.
+the neighbour tie rule (:func:`kcof._accel.ranked`) and the span of a
+player's belief and chosen neighbours (:func:`kcof._accel.span`) once.  Every
+check and solver reads the integer beliefs of :attr:`GameInstance.s_int`,
+made once per instance at its scale by :func:`kcof.rationals.as_scaled`.
 """
 
 from .bounds import (

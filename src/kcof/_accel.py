@@ -1,9 +1,11 @@
 """The integer core: the one scale, the neighbour tie rule and the span.
 
 Everything that decides an equilibrium or a cost works on plain ints at one
-shared scale: :func:`scaled` multiplies values by the lcm of their
-denominators, once per instance for the beliefs (``GameInstance.s_int`` at
-``GameInstance.scale``).  Python ints never overflow, so any scale is exact.
+shared scale.  An instance's beliefs are put on theirs once, by
+:func:`kcof.rationals.as_scaled` (``GameInstance.s_int`` at
+``GameInstance.scale``); :func:`scaled` does the same for a list of
+Fractions, the mixed supports' probabilities in :func:`kcof.mixed.check_mixed`.
+Python ints never overflow, so any scale is exact.
 
 :func:`ranked` defines the neighbour tie rule: it orders all of a player's
 candidate neighbours.  A check needs only the first k + 1, the opinions
@@ -15,13 +17,13 @@ to the interval [lo, hi] spanning s_i and the first k opinions of
 :func:`ranked`; a differential test pins the two together on many-tie
 inputs.  The best reply is the interval's midpoint, tested without
 division as 2*z_i == lo + hi, and the cost of z_i is the distance to its
-far end.  The ``Fraction`` API in :mod:`kcof.game`, the mixed checks in
-:mod:`kcof.mixed` and the kernels here all rank through :func:`span`;
-:func:`social_cost` and :func:`first_unstable` are short views of it.  The
-optimizer's descent keeps one :func:`ranked` list per player across its
-moves (:func:`move`); :func:`coordinate_best` reads their first k + 1 keys
-in place, sums one step's breakpoints per candidate index and sorts those
-indices once.
+far end.  The checks and the best-response updates in :mod:`kcof.game`, the
+mixed checks in :mod:`kcof.mixed` and the kernels here all rank through
+:func:`span`; :func:`social_cost` and :func:`first_unstable` are short views
+of it.  The optimizer's descent keeps one :func:`ranked` list per player
+across its moves (:func:`move`); :func:`coordinate_best` reads their first
+k + 1 keys in place, sums one step's breakpoints per candidate index and
+sorts those indices once.
 """
 
 from __future__ import annotations

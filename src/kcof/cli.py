@@ -28,9 +28,7 @@ from .catalog import recompute
 from .game import GameInstance, best_response_dynamics, check_pure
 from .instance_io import load_instance, write_instance
 from .optimize import optimize_social_cost
-from .rationals import format_ratio, format_rational, parse_rational
-
-_R = format_rational
+from .rationals import format_ratio, to_fraction
 
 
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
@@ -56,8 +54,8 @@ def _pure_check_report(inst: GameInstance, opinions) -> dict:
         "violations": [
             {
                 "player": v.player,
-                "best_reply": _R(v.best_reply),
-                "cost_drop": _R(v.cost_drop),
+                "best_reply": str(v.best_reply),
+                "cost_drop": str(v.cost_drop),
             }
             for v in verdict.violations
         ],
@@ -95,13 +93,13 @@ def _mixed_check_report(inst: GameInstance, rz) -> dict:
     checked = mixed_mod.check_mixed(inst, rz)
     return {
         "mne": checked.verdict.is_mne,
-        "expected_social_cost": _R(checked.expected_social_cost),
-        "expected_player_costs": [_R(c) for c in checked.expected_costs],
+        "expected_social_cost": str(checked.expected_social_cost),
+        "expected_player_costs": [str(c) for c in checked.expected_costs],
         "violations": [
             {
                 "player": v.player,
-                "deviation": _R(v.deviation),
-                "improvement": _R(v.improvement),
+                "deviation": str(v.deviation),
+                "improvement": str(v.improvement),
             }
             for v in checked.verdict.violations
         ],
@@ -156,8 +154,8 @@ def _vector_report(opinions, cost, strings: dict) -> dict:
     :func:`kcof.segments.enumerate_pne` shares is formatted once."""
     for v in opinions:
         if id(v) not in strings:
-            strings[id(v)] = _R(v)
-    return {"opinions": [strings[id(v)] for v in opinions], "social_cost": _R(cost)}
+            strings[id(v)] = str(v)
+    return {"opinions": [strings[id(v)] for v in opinions], "social_cost": str(cost)}
 
 
 def _k1_lines(report: dict, segment_count: int, limit: int) -> list[str]:
@@ -216,7 +214,7 @@ def _cmd_solve(args) -> int:
     }
     if result.outcome == "converged":
         checked = check_pure(inst, result.opinions)
-        report["opinions"] = [_R(v) for v in result.opinions]
+        report["opinions"] = [str(v) for v in result.opinions]
         report["social_cost"] = format_ratio(sum(checked.costs), checked.scale)
         report["pne"] = checked.verdict.is_pne
     _emit(report, args.json, [] if args.json else _dynamics_lines(report))
@@ -246,19 +244,19 @@ def _cmd_bounds(args) -> int:
     bracket = bounds_mod.poa_bracket(inst, use_optimizer=not args.no_opt, starts=starts)
     caps = [bounds_mod.pne_player_cost_cap(inst, i) for i in range(inst.n)]
     report: dict = {
-        "opt_lower_bound_k": _R(bounds_mod.opt_lower_bound_k(inst)),
-        "player_cost_caps": [_R(c) for c in caps],
-        "opt_lower": _R(bracket.opt_lower),
-        "opt_upper": _R(bracket.opt_upper),
-        "worst_pne_cost": None if bracket.worst_pne_cost is None else _R(bracket.worst_pne_cost),
-        "ratio_lower": None if bracket.ratio_lower is None else _R(bracket.ratio_lower),
-        "ratio_upper": None if bracket.ratio_upper is None else _R(bracket.ratio_upper),
+        "opt_lower_bound_k": str(bounds_mod.opt_lower_bound_k(inst)),
+        "player_cost_caps": [str(c) for c in caps],
+        "opt_lower": str(bracket.opt_lower),
+        "opt_upper": str(bracket.opt_upper),
+        "worst_pne_cost": None if bracket.worst_pne_cost is None else str(bracket.worst_pne_cost),
+        "ratio_lower": None if bracket.ratio_lower is None else str(bracket.ratio_lower),
+        "ratio_upper": None if bracket.ratio_upper is None else str(bracket.ratio_upper),
         "ratio_upper_unbounded": bracket.ratio_upper_unbounded,
     }
     if inst.k == 1:
-        report["opt_lower_bound_1"] = _R(bounds_mod.opt_lower_bound_1(inst))
+        report["opt_lower_bound_1"] = str(bounds_mod.opt_lower_bound_1(inst))
         caps1 = [bounds_mod.pne_player_cost_cap_1(inst, i) for i in range(inst.n)]
-        report["player_cost_caps_1"] = [_R(c) for c in caps1]
+        report["player_cost_caps_1"] = [str(c) for c in caps1]
     _emit(report, args.json, [] if args.json else _bounds_lines(report))
     return 0
 
@@ -287,7 +285,7 @@ def _cmd_optimize(args) -> int:
     doc = load_instance(args.file)
     starts = [doc.opinions] if doc.opinions is not None else []
     z, cost = optimize_social_cost(doc.instance, starts=starts)
-    report = {"opinions": [_R(v) for v in z], "social_cost": _R(cost)}
+    report = {"opinions": [str(v) for v in z], "social_cost": str(cost)}
     lines = [] if args.json else [
         f"SC <= {report['social_cost']}",
         f"z = ({', '.join(report['opinions'])})",
@@ -297,8 +295,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    lam = parse_rational(args.lam)
-    eps = parse_rational(args.epsilon)
+    lam = to_fraction(args.lam)
+    eps = to_fraction(args.epsilon)
     entries = build_catalog(args.k, lam, eps)
 
     rows = []
@@ -311,8 +309,8 @@ def _cmd_catalog(args) -> int:
                     "reference": ref.tag,
                     "expected_verdict": ref.verdict,
                     "recomputed_verdict": got_verdict,
-                    "expected_cost": _R(ref.expected_cost),
-                    "recomputed_cost": _R(got_cost),
+                    "expected_cost": str(ref.expected_cost),
+                    "recomputed_cost": str(got_cost),
                     "match": got_verdict == ref.verdict and got_cost == ref.expected_cost,
                 }
             )

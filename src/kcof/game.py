@@ -27,20 +27,22 @@ False structure flag is not tested again.  The two views of the pass are
 :func:`is_pure_nash` and :func:`social_cost`.
 
 Distance ties when ranking neighbor candidates break toward the player's own
-opinion first and then toward the smallest index (:func:`kcof._accel.ranked`).
+opinion first and then toward the smallest index; :func:`kcof._accel.ranked`
+is that rule's reference.
 The ``tie_seen`` diagnostic on verdicts reports when such a boundary tie
 occurred, i.e. when the verdict could depend on the tie rule at all.
 
-:func:`best_response_dynamics` runs rounds of best replies in integers and
-ends on a verified equilibrium, a repeated state or the round cap.  Most
-runs without an equilibrium settle into a cycle of interval patterns, of
-period up to 16, whose states tend to a limit cycle.  One certificate
-proves such a run stays in the cycle for good: an exact linear recurrence
-of its states gives the limit, and every comparison of a period keeps its
-outcome on a sup-norm box around the limit that holds all later states.
-The rounds left are then skipped by powering the recurrence, and the
-result is exactly the one that running them gives, as ints: its Fractions
-are made only when read.
+:func:`best_response_dynamics` runs rounds of best replies in integers,
+each update read by :func:`kcof._accel.span` from a sorted view of the
+current opinions, and ends on a verified equilibrium, a repeated state or
+the round cap.  Most runs without an equilibrium settle into a cycle of
+interval patterns, of period up to 16, whose states tend to a limit cycle.
+One certificate proves such a run stays in the cycle for good: an exact
+linear recurrence of its states gives the limit, and every comparison of a
+period keeps its outcome on a sup-norm box around the limit that holds all
+later states.  The rounds left are then skipped by powering the
+recurrence, and the result is exactly the one that running them gives, as
+ints: its Fractions are made only when read.
 """
 
 from __future__ import annotations
@@ -135,13 +137,13 @@ def as_opinions(inst: GameInstance, values: Iterable) -> Scaled:
     return z
 
 
-def _owner(view: tuple[list[int], list[int]], i: int, si: int, zi: int, value: int) -> int:
-    """Who attains an end of player i's interval: i first, then the smallest
-    index of the end's group in ``view``, since a group is chosen from it up."""
-    if value == si or value == zi:
-        return i
+def _owner(view: tuple[list[int], list[int]], i: int, value: int) -> int:
+    """Who attains an end of player i's interval that is a neighbour's opinion:
+    the smallest index other than i in the end's group in ``view``, since a
+    group is chosen from it up."""
     vals, order = view
-    return order[bisect_left(vals, value)]
+    a = bisect_left(vals, value)
+    return order[a] if order[a] != i else order[a + 1]
 
 
 @dataclass(frozen=True)
@@ -247,8 +249,10 @@ def check_pure(inst: GameInstance, z: Sequence) -> PureCheck:
             lo = zi
         if above < 0:
             hi = zi
-        if in_range and not s[_owner(view, i, si, zi, lo)] <= zi <= s[_owner(view, i, si, zi, hi)]:
-            in_range = False
+        if in_range:
+            lo_at = i if lo == si or lo == zi else _owner(view, i, lo)
+            hi_at = i if hi == si or hi == zi else _owner(view, i, hi)
+            in_range = s[lo_at] <= zi <= s[hi_at]
         if consecutive:
             # a window holding i lies in [lo, hi] and, with s_i, reaches both ends
             for wlo, whi in windows[i - k if i > k else 0 : i + 1]:
@@ -375,21 +379,6 @@ def _solve_pattern(
         y[i] = num // g
     g = gcd(det, *y)
     return det // g, [v // g for v in y]
-
-
-def _interval(z: Sequence[int], si: int, order: Sequence[tuple], k: int):
-    """(lo, hi, (lo_at, hi_at)): the span of s_i and the opinions of the first
-    k players of ``order``, and who attains its ends (-1 for s_i; ties keep
-    the belief, then the earlier player)."""
-    lo = hi = si
-    lo_at = hi_at = -1
-    for _, _, j in order[:k]:
-        v = z[j]
-        if v < lo:
-            lo, lo_at = v, j
-        elif v > hi:
-            hi, hi_at = v, j
-    return lo, hi, (lo_at, hi_at)
 
 
 def _set_midpoint(z: list[int], i: int, total: int) -> tuple[list[int], bool]:
@@ -564,7 +553,11 @@ def best_response_dynamics(
     """Round-robin best-response updates that end on a verified equilibrium.
 
     Each round replaces every opinion (in index order, in place) by the
-    player's best response.  Exact updates only approach most equilibria in
+    player's best response.  An update sorts the opinions
+    (:func:`kcof._accel.sorted_view`), reads the player's interval from them
+    with :func:`kcof._accel.span` and each end's owner from the same view:
+    s_i, else the smallest index other than i in the end's group of equal
+    opinions.  Exact updates only approach most equilibria in
     the limit, so after each round the run also solves the round's interval
     pattern exactly: which point (s_i or a neighbor's opinion) attained the
     low and high end of each player's interval.  Fixing the pattern makes
@@ -593,9 +586,9 @@ def best_response_dynamics(
     without a certificate goes on round by round.
 
     The state is integers z over d0 * 2**e, with d0 and the beliefs s0 from
-    :meth:`GameInstance.at`, belief i read as s0_i << e.  An odd midpoint
-    doubles z; after a round z is halved while e > 0 and all of it is even,
-    so equal states hash equally.  The returned state is a
+    :meth:`GameInstance.at`; the beliefs s0 << e are kept beside z.  An odd
+    midpoint doubles both; after a round both are halved while e > 0 and all
+    of z is even, so equal states hash equally.  The returned state is a
     :class:`kcof.rationals.Scaled` of those ints, with no Fraction built.
     """
     if not 1 <= max_rounds <= MAX_ROUNDS:
@@ -603,7 +596,7 @@ def best_response_dynamics(
     start = as_opinions(inst, z0)
 
     n, k = inst.n, inst.k
-    d0, s0, z = inst.at(start)
+    d0, s, z = inst.at(start)  # s: the beliefs at the state's scale, s0 << e
     e, f = 0, d0 // inst.scale  # the history's states are over inst.scale * (f << e)
 
     def snapshot() -> Scaled:
@@ -627,21 +620,23 @@ def best_response_dynamics(
     for rounds in range(1, max_rounds + 1):
         changed = False
         for i in range(n):
-            si, zi = s0[i] << e, z[i]
-            lo, hi, pattern[i] = _interval(z, si, ranked(z, i, si, zi), k)
+            si, zi = s[i], z[i]
+            view = sorted_view(z)
+            _, lo, hi = span(s, z, k, i, zi, view)
+            pattern[i] = tuple(-1 if v == si else _owner(view, i, v) for v in (lo, hi))
             total = lo + hi
             if total == 2 * zi:
                 continue
             changed = True
             z, doubled = _set_midpoint(z, i, total)
-            e += doubled
+            if doubled:
+                s, e = [2 * v for v in s], e + 1
         while e and all(v % 2 == 0 for v in z):
-            z = [v // 2 for v in z]
-            e -= 1
+            z, s, e = [v // 2 for v in z], [v // 2 for v in s], e - 1
         frozen = tuple(pattern)
         candidate = None  # (d, beliefs times d, opinions times d)
         if not changed:
-            candidate = d0 << e, [v << e for v in s0], z
+            candidate = d0 << e, s, z
         elif frozen not in tried:
             if len(tried) < _STATE_WINDOW:
                 tried.add(frozen)

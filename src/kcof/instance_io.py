@@ -31,7 +31,7 @@ from typing import Optional
 
 from .game import GameInstance, Opinions, as_opinions
 from .mixed import RandomizedOpinions, as_randomized
-from .rationals import as_scaled, format_ratio, format_rational
+from .rationals import as_scaled, format_ratio
 
 __all__ = [
     "InstanceFormatError",
@@ -141,12 +141,9 @@ def document_dict(
     if inst.labels is not None:
         doc["labels"] = list(inst.labels)
     if opinions is not None:
-        doc["opinions"] = [format_rational(v) for v in opinions]
+        doc["opinions"] = [str(v) for v in opinions]
     if mixed is not None:
-        doc["mixed"] = [
-            [[format_rational(op), format_rational(pr)] for op, pr in support]
-            for support in mixed
-        ]
+        doc["mixed"] = [[[str(op), str(pr)] for op, pr in support] for support in mixed]
     return doc
 
 

@@ -29,9 +29,6 @@ def to_fraction(value: Fraction | int | str) -> Fraction:
     return value if type(value) is Fraction else as_scaled((value,))[0]
 
 
-parse_rational = to_fraction  # parses "3", "-21/2", or "2.5" into an exact Fraction
-
-
 class Scaled(Sequence):
     """Exact values held as ints over one positive scale: value i is
     ``ints[i] / scale``.  It reads as the tuple of those values, as
@@ -45,7 +42,7 @@ class Scaled(Sequence):
     @property
     def values(self) -> tuple[Fraction, ...]:
         if self._values is None:
-            self._values = tuple(Fraction(v, self.scale) for v in self.ints)
+            self._values = tuple(Fraction(*_halved(v, self.scale)) for v in self.ints)
         return self._values
 
     def __len__(self) -> int:
@@ -136,17 +133,18 @@ def _parse_text(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as "3" or "-21/2" (inverse of parse_rational)."""
-    return str(value)
+def _halved(num: int, den: int) -> tuple[int, int]:
+    """num / den with their common power of two shifted out, (0, 1) for 0: a
+    gcd of huge ints is slow to find a large power of two, and is then short."""
+    if not num:
+        return 0, 1
+    t = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
+    return num >> t, den >> t
 
 
 def format_ratio(num: int, den: int) -> str:
-    """``format_rational(Fraction(num, den))`` for den > 0, with the common power
-    of two shifted out: only the odd part of den, short for segment scales, meets gcd."""
-    if not num:
-        return "0"
-    t = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
-    num, den = num >> t, den >> t
+    """``str(Fraction(num, den))`` for den > 0, with the common power of two
+    shifted out: only the odd part of den, short for segment scales, meets gcd."""
+    num, den = _halved(num, den)
     g = gcd(num, den >> (den & -den).bit_length() - 1)
     return str(num // g) if den == g else f"{num // g}/{den // g}"

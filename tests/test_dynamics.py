@@ -66,11 +66,38 @@ def solved_opinions(inst, solved):
     return tuple(F(v, det * inst.scale) for v in y)
 
 
-def reference_dynamics(inst, z0, max_rounds):
+def ranked_interval(z, i, si, k):
+    """(lo, hi, (lo_at, hi_at)): the span of s_i and the opinions of the first
+    k players of the full ranking, and who attains its ends (-1 for s_i; ties
+    keep the belief, then the earlier player)."""
+    lo = hi = si
+    lo_at = hi_at = -1
+    for _, _, j in ranked(z, i, si, z[i])[:k]:
+        v = z[j]
+        if v < lo:
+            lo, lo_at = v, j
+        elif v > hi:
+            hi, hi_at = v, j
+    return lo, hi, (lo_at, hi_at)
+
+
+def two_sided_tie(z, i, si, k):
+    """Whether player i's k-th and (k+1)-th nearest opinions tie at a distance
+    d > 0 with opinions at both s_i - d and s_i + d."""
+    order = ranked(z, i, si, z[i])
+    if len(order) <= k or order[k - 1][0] != order[k][0] or not order[k][0]:
+        return False
+    d = order[k][0]
+    return {si - d, si + d} <= {z[j] for _, _, j in order}
+
+
+def reference_dynamics(inst, z0, max_rounds, ties=None):
     """The round loop with no skip: every round is run.
 
     Patterns are solved by the library's solver, which
-    :class:`TestSolvePattern` pins to :func:`dense_solve`.
+    :class:`TestSolvePattern` pins to :func:`dense_solve`.  With a Counter
+    ``ties``, each round with an update that meets a :func:`two_sided_tie`
+    adds one to ``ties["two-sided tie"]``.
     """
     n, k = inst.n, inst.k
     denom, ints = scaled((*inst.beliefs, *as_opinions(inst, z0)))
@@ -91,18 +118,11 @@ def reference_dynamics(inst, z0, max_rounds):
     tried = set()
     pattern = [(-1, -1)] * n
     for rounds in range(1, max_rounds + 1):
-        changed = False
+        changed = tied = False
         for i in range(n):
             si, zi = s[i], z[i]
-            lo = hi = si
-            lo_at = hi_at = -1
-            for _, _, j in ranked(z, i, si, zi)[:k]:
-                v = z[j]
-                if v < lo:
-                    lo, lo_at = v, j
-                elif v > hi:
-                    hi, hi_at = v, j
-            pattern[i] = (lo_at, hi_at)
+            lo, hi, pattern[i] = ranked_interval(z, i, si, k)
+            tied = tied or ties is not None and two_sided_tie(z, i, si, k)
             total = lo + hi
             if total == 2 * zi:
                 continue
@@ -114,6 +134,8 @@ def reference_dynamics(inst, z0, max_rounds):
                 z = [2 * v for v in z]
                 denom *= 2
                 z[i] = total
+        if tied:
+            ties["two-sided tie"] += 1
         shift = 0
         while denom % 2 == 0 and all(v % 2 == 0 for v in z) and all(v % 2 == 0 for v in s):
             s = [v // 2 for v in s]
@@ -160,6 +182,17 @@ def dynamics_case(rng):
     return GameInstance(k, beliefs), start, rng.choice((3, 10, 57, 200, 1000))
 
 
+def tie_case(rng):
+    """A :func:`dynamics_case` started where opinions tie: each start is one
+    of a pool of 2-3 values or one of s_c - d and s_c + d for a belief s_c."""
+    inst, _, max_rounds = dynamics_case(rng)
+    pool = [rng.randint(-20, 20) for _ in range(rng.randint(2, 3))]
+    c, d = rng.choice(inst.beliefs), rng.randint(1, 6)
+    mirrored = [c - d, c + d]
+    start = [rng.choice(pool if rng.random() < 0.5 else mirrored) for _ in range(inst.n)]
+    return inst, start, max_rounds
+
+
 @pytest.fixture
 def certified(monkeypatch):
     """Counts the periods of the certificates that held."""
@@ -193,6 +226,12 @@ class TestSkipShrinkingCycles:
         assert all(certified[p] for p in (2, 3, 4)), certified
         # a skip must not pass over an exact repeat of a state
         assert seen["cycle"] >= 6, seen
+        rng = random.Random(0x5C2)
+        for _ in range(1000):
+            inst, start, max_rounds = tie_case(rng)
+            got = best_response_dynamics(inst, start, max_rounds)
+            assert got == reference_dynamics(inst, start, max_rounds, seen), (inst, start, max_rounds)
+        assert seen["two-sided tie"] >= 100, seen
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8])
     def test_gadgets_are_skipped_to_the_last_round(self, k, certified):
@@ -244,8 +283,7 @@ class TestSkipShrinkingCycles:
                     for j, form in enumerate(forms):
                         gap = 2 * y[j] * scale - lo[j] - hi[j]
                         assert moved.setdefault(form, gap) == gap
-                    order = ranked(y, i, inst.beliefs[i], y[i])
-                    low, high, owners = game._interval(y, inst.beliefs[i], order, inst.k)
+                    low, high, owners = ranked_interval(y, i, inst.beliefs[i], inst.k)
                     assert owners == pattern[i]
                     y[i] = (low + high) / 2
             return last
