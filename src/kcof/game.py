@@ -623,7 +623,9 @@ def best_response_dynamics(
             si, zi = s[i], z[i]
             view = sorted_view(z)
             _, lo, hi = span(s, z, k, i, zi, view)
-            pattern[i] = tuple(-1 if v == si else _owner(view, i, v) for v in (lo, hi))
+            lo_at = -1 if lo == si else _owner(view, i, lo)
+            hi_at = -1 if hi == si else _owner(view, i, hi)
+            pattern[i] = lo_at, hi_at
             total = lo + hi
             if total == 2 * zi:
                 continue

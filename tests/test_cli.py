@@ -314,7 +314,8 @@ class TestSolve:
         formatted = []
 
         def recording(value):
-            formatted.append(value)
+            if isinstance(value, (int, F)):  # a reported value, not an error's text
+                formatted.append(value)
             return str(value)
 
         monkeypatch.setattr(cli, "str", recording, raising=False)  # shadows the builtin
@@ -456,7 +457,8 @@ class TestJsonReports:
         formatted = []
 
         def recording(value):
-            formatted.append(value)
+            if isinstance(value, (int, F)):  # a reported value, not an error's text
+                formatted.append(value)
             return str(value)
 
         def recording_ratio(num, den):

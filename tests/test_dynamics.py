@@ -16,7 +16,7 @@ import pytest
 
 import kcof.game as game
 from kcof import GameInstance, as_opinions, best_response_dynamics, is_pure_nash
-from kcof._accel import ranked, scaled
+from kcof._accel import ranked, scaled, sorted_view
 from kcof.catalog import catalog
 
 
@@ -301,12 +301,12 @@ class TestSkipShrinkingCycles:
         calls = Counter()
 
         def spy(*args):
-            calls["ranked"] += 1
-            return ranked(*args)
+            calls["sorted_view"] += 1
+            return sorted_view(*args)
 
-        monkeypatch.setattr(game, "ranked", spy)
+        monkeypatch.setattr(game, "sorted_view", spy)  # one view per update
         got = best_response_dynamics(inst, inst.beliefs, 1000)
-        assert calls["ranked"] <= 20 * inst.n, calls
+        assert calls["sorted_view"] <= 20 * inst.n, calls
         assert got == reference_dynamics(inst, inst.beliefs, 1000)
 
     def test_a_two_rate_run_is_certified_and_matches_every_round(self, certified):
